@@ -32,7 +32,7 @@ from .ast import (
 )
 from .configs import ApplicationDescriptor
 from .machine import MachineModel
-from .validator import free_names
+from .validator import expr_names, free_names
 
 LAYOUT_COMBOS = (("SOA", "C_order"), ("SOA", "F_order"),
                  ("AOS", "C_order"), ("AOS", "F_order"))
@@ -213,24 +213,24 @@ def _layout_choice(stmt: Optional[LayoutStmt]) -> LayoutChoice:
 
 def closure_of(functions: dict[str, FuncDef], program: MapperProgram,
                used: set[str]) -> tuple[dict[str, FuncDef], tuple[AssignStmt, ...]]:
-    """The used functions, their transitive callees, and the top-level
-    bindings they reference, in program order."""
-    kept: dict[str, FuncDef] = {}
-    needed_names: set[str] = set()
+    """The used functions and all they reach, in program order: the
+    functions and top-level bindings they name, and in turn whatever
+    those bindings' expressions name (``m1 = m.merge(0, 1)`` keeps
+    ``m``)."""
+    bindings = [s for s in program.statements if isinstance(s, AssignStmt)]
+    kept: set[str] = set()
     frontier = [name for name in used if name in functions]
     while frontier:
         name = frontier.pop()
         if name in kept:
             continue
-        kept[name] = functions[name]
-        for ref in free_names(functions[name]):
-            needed_names.add(ref)
-            if ref in functions:
-                frontier.append(ref)
-    bindings = tuple(s for s in program.statements
-                     if isinstance(s, AssignStmt) and s.name in needed_names)
-    ordered = {name: functions[name] for name in functions if name in kept}
-    return ordered, bindings
+        kept.add(name)
+        if name in functions:
+            frontier.extend(free_names(functions[name]))
+        frontier.extend(ref for stmt in bindings if stmt.name == name
+                        for ref in expr_names(stmt.expr))
+    ordered = {name: func for name, func in functions.items() if name in kept}
+    return ordered, tuple(s for s in bindings if s.name in kept)
 
 
 # --------------------------------------------------------------------------

@@ -16,8 +16,14 @@ with all other coordinates passed through (shifted by one around the
 inserted/removed dimension for split/merge).  Integer division
 truncates toward zero; all indices in range are nonnegative, so this
 matches floor division.  split/merge/swap are bijections, slice is an
-injection, and chains compose lazily: spaces are cheap immutable
-values and ``lookup`` walks the chain backwards.
+injection, and chains compose lazily: spaces are cheap values, and
+``lookup_all`` walks the chain backwards over an array of indices
+(``lookup`` is its one-row case).
+
+Spaces and steps are hashable slotted dataclasses that no code mutates
+after construction.  They are not frozen, because a frozen dataclass
+sets each field through ``object.__setattr__`` and that made up most of
+the cost of building a space.
 """
 
 from __future__ import annotations
@@ -32,7 +38,14 @@ from .ast import MEM_KINDS, PROC_KINDS
 
 
 class SpaceError(ValueError):
-    """Raised for invalid transformations or out-of-range lookups."""
+    """Raised for invalid transformations or out-of-range lookups.
+
+    ``row`` is the first offending row of a batch lookup (0 otherwise).
+    """
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -64,51 +77,46 @@ class ProcIndex:
 
 
 # --------------------------------------------------------------------------
-# Transformation steps
+# Transformation steps.  ``to_parent_columns`` maps the index columns of
+# the transformed space (one integer array per dimension) to those of the
+# space it was built from; ``from_parent`` maps one index back.
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Split:
+class _Step:
+    __slots__ = ()
+
+    def to_parent_array(self, a: np.ndarray) -> np.ndarray:
+        """Map an (N, rank) index array of the transformed space to the
+        (N, parent rank) array of its parent."""
+        return np.stack(self.to_parent_columns(list(a.T)), axis=1)
+
+
+@dataclass(unsafe_hash=True, slots=True)
+class Split(_Step):
     dim: int
     factor: int
 
-    def out_dims(self, dims: tuple[int, ...]) -> tuple[int, ...]:
+    def to_parent_columns(self, cols: list) -> list:
         i, d = self.dim, self.factor
-        return dims[:i] + (d, dims[i] // d) + dims[i + 1:]
-
-    def to_parent(self, idx: list[int]) -> list[int]:
-        i, d = self.dim, self.factor
-        return idx[:i] + [idx[i] + idx[i + 1] * d] + idx[i + 2:]
+        return cols[:i] + [cols[i] + cols[i + 1] * d] + cols[i + 2:]
 
     def from_parent(self, idx: list[int]) -> list[int]:
         i, d = self.dim, self.factor
         return idx[:i] + [idx[i] % d, idx[i] // d] + idx[i + 1:]
 
-    def to_parent_array(self, a: np.ndarray) -> np.ndarray:
-        i, d = self.dim, self.factor
-        merged = a[:, i] + a[:, i + 1] * d
-        return np.concatenate([a[:, :i], merged[:, None], a[:, i + 2:]], axis=1)
 
-
-@dataclass(frozen=True)
-class Merge:
+@dataclass(unsafe_hash=True, slots=True)
+class Merge(_Step):
     p: int
     q: int
     inner: int  # extent of dimension p in the parent space
 
-    def out_dims(self, dims: tuple[int, ...]) -> tuple[int, ...]:
-        p, q = self.p, self.q
-        out = list(dims)
-        out[p] = dims[p] * dims[q]
-        del out[q]
-        return tuple(out)
-
-    def to_parent(self, idx: list[int]) -> list[int]:
+    def to_parent_columns(self, cols: list) -> list:
         p, q, inner = self.p, self.q, self.inner
-        out = list(idx)
-        out[p] = idx[p] % inner
-        out.insert(q, idx[p] // inner)
+        out = list(cols)
+        out[p] = cols[p] % inner
+        out.insert(q, cols[p] // inner)
         return out
 
     def from_parent(self, idx: list[int]) -> list[int]:
@@ -118,51 +126,30 @@ class Merge:
         del out[q]
         return out
 
-    def to_parent_array(self, a: np.ndarray) -> np.ndarray:
-        p, q, inner = self.p, self.q, self.inner
-        col_p = a[:, p] % inner
-        col_q = a[:, p] // inner
-        parts = [a[:, :p], col_p[:, None], a[:, p + 1:q], col_q[:, None], a[:, q:]]
-        return np.concatenate(parts, axis=1)
 
-
-@dataclass(frozen=True)
-class Swap:
+@dataclass(unsafe_hash=True, slots=True)
+class Swap(_Step):
     p: int
     q: int
 
-    def out_dims(self, dims: tuple[int, ...]) -> tuple[int, ...]:
-        out = list(dims)
-        out[self.p], out[self.q] = out[self.q], out[self.p]
-        return tuple(out)
-
-    def to_parent(self, idx: list[int]) -> list[int]:
-        out = list(idx)
+    def to_parent_columns(self, cols: list) -> list:
+        out = list(cols)
         out[self.p], out[self.q] = out[self.q], out[self.p]
         return out
 
-    from_parent = to_parent
-
-    def to_parent_array(self, a: np.ndarray) -> np.ndarray:
-        out = a.copy()
-        out[:, [self.p, self.q]] = a[:, [self.q, self.p]]
-        return out
+    def from_parent(self, idx: list[int]) -> list[int]:
+        return self.to_parent_columns(idx)  # a swap is its own inverse
 
 
-@dataclass(frozen=True)
-class Slice:
+@dataclass(unsafe_hash=True, slots=True)
+class Slice(_Step):
     dim: int
     low: int
     high: int
 
-    def out_dims(self, dims: tuple[int, ...]) -> tuple[int, ...]:
-        out = list(dims)
-        out[self.dim] = self.high - self.low + 1
-        return tuple(out)
-
-    def to_parent(self, idx: list[int]) -> list[int]:
-        out = list(idx)
-        out[self.dim] += self.low
+    def to_parent_columns(self, cols: list) -> list:
+        out = list(cols)
+        out[self.dim] = cols[self.dim] + self.low
         return out
 
     def from_parent(self, idx: list[int]) -> list[int]:
@@ -175,11 +162,6 @@ class Slice:
         out[self.dim] = value
         return out
 
-    def to_parent_array(self, a: np.ndarray) -> np.ndarray:
-        out = a.copy()
-        out[:, self.dim] += self.low
-        return out
-
 
 TransformStep = Union[Split, Merge, Swap, Slice]
 
@@ -189,7 +171,7 @@ TransformStep = Union[Split, Merge, Swap, Slice]
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ProcessorSpace:
     kind: str
     base_dims: tuple[int, int]
@@ -205,41 +187,47 @@ class ProcessorSpace:
         return len(self.dims)
 
     def _check_dim(self, i: int, what: str) -> None:
-        if not 0 <= i < self.rank:
+        if not 0 <= i < len(self.dims):
             raise SpaceError(
                 f"{what} dimension {i} out of range for a rank-{self.rank} space")
 
-    def _extend(self, step: TransformStep) -> "ProcessorSpace":
-        return ProcessorSpace(self.kind, self.base_dims, step.out_dims(self.dims),
-                              self.chain + (step,))
+    def _extend(self, dims: tuple[int, ...], step: TransformStep) -> "ProcessorSpace":
+        return ProcessorSpace(self.kind, self.base_dims, dims, self.chain + (step,))
 
     def split(self, i: int, d: int) -> "ProcessorSpace":
         self._check_dim(i, "split")
-        if d < 1 or self.dims[i] % d != 0:
+        dims = self.dims
+        if d < 1 or dims[i] % d != 0:
             raise SpaceError(
-                f"split factor {d} does not divide extent {self.dims[i]} "
+                f"split factor {d} does not divide extent {dims[i]} "
                 f"of dimension {i}")
-        return self._extend(Split(i, d))
+        return self._extend(dims[:i] + (d, dims[i] // d) + dims[i + 1:], Split(i, d))
 
     def merge(self, p: int, q: int) -> "ProcessorSpace":
         self._check_dim(p, "merge")
         self._check_dim(q, "merge")
         if p >= q:
             raise SpaceError(f"merge requires p < q, got ({p}, {q})")
-        return self._extend(Merge(p, q, self.dims[p]))
+        dims = self.dims
+        merged = dims[:p] + (dims[p] * dims[q],) + dims[p + 1:q] + dims[q + 1:]
+        return self._extend(merged, Merge(p, q, dims[p]))
 
     def swap(self, p: int, q: int) -> "ProcessorSpace":
         self._check_dim(p, "swap")
         self._check_dim(q, "swap")
-        return self._extend(Swap(p, q))
+        dims = list(self.dims)
+        dims[p], dims[q] = dims[q], dims[p]
+        return self._extend(tuple(dims), Swap(p, q))
 
     def slice(self, i: int, low: int, high: int) -> "ProcessorSpace":
         self._check_dim(i, "slice")
-        if not 0 <= low <= high < self.dims[i]:
+        dims = self.dims
+        if not 0 <= low <= high < dims[i]:
             raise SpaceError(
                 f"slice bounds out of range: [{low}, {high}] in dimension {i} "
-                f"of extent {self.dims[i]}")
-        return self._extend(Slice(i, low, high))
+                f"of extent {dims[i]}")
+        return self._extend(dims[:i] + (high - low + 1,) + dims[i + 1:],
+                            Slice(i, low, high))
 
     def decompose(self, dim: int, shape: tuple[int, ...]) -> "ProcessorSpace":
         """Split one dimension into len(shape) dimensions of those extents.
@@ -261,37 +249,32 @@ class ProcessorSpace:
 
     # -- index resolution ------------------------------------------------
 
-    def _check_index(self, index: tuple[int, ...]) -> None:
-        ok = (len(index) == self.rank
-              and all(0 <= v < e for v, e in zip(index, self.dims)))
-        if not ok:
-            raise SpaceError(
-                f"Slice processor index out of bound: {tuple(index)} is not "
-                f"within a space of size {self.dims}")
-
     def lookup(self, index: tuple[int, ...]) -> ProcIndex:
         """Resolve an index of this space to the base (node, local) pair."""
-        self._check_index(index)
-        idx = list(index)
-        for step in reversed(self.chain):
-            idx = step.to_parent(idx)
-        return ProcIndex(idx[0], idx[1])
+        node, local = self.lookup_all(np.array([index], dtype=object))[0].tolist()
+        return ProcIndex(node, local)
 
     def lookup_all(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized ``lookup``: (N, rank) int array -> (N, 2) array."""
-        a = np.asarray(indices, dtype=np.int64)
+        """Resolve an (N, rank) integer array of indices to an (N, 2) int64
+        array of (node, local) rows.
+
+        Indices may be Python ints in an object array; an out-of-range
+        row raises SpaceError naming the first such row.
+        """
+        a = np.asarray(indices)
         if a.ndim != 2 or a.shape[1] != self.rank:
             raise SpaceError(
                 f"expected an (N, {self.rank}) index array, got shape {a.shape}")
-        dims = np.asarray(self.dims, dtype=np.int64)
-        if a.size and ((a < 0) | (a >= dims)).any():
-            bad = a[((a < 0) | (a >= dims)).any(axis=1)][0]
+        bad = (a < 0) | (a >= np.array(self.dims))
+        if bad.any():
+            row = int(np.argmax(bad.any(axis=1)))
             raise SpaceError(
-                f"Slice processor index out of bound: {tuple(int(v) for v in bad)} "
-                f"is not within a space of size {self.dims}")
+                f"Slice processor index out of bound: {tuple(int(v) for v in a[row])} "
+                f"is not within a space of size {self.dims}", row)
+        cols = list(a.astype(np.int64).T)
         for step in reversed(self.chain):
-            a = step.to_parent_array(a)
-        return a
+            cols = step.to_parent_columns(cols)
+        return np.stack(cols, axis=1)
 
     def index_of(self, proc: ProcIndex) -> tuple[int, ...]:
         """Inverse of ``lookup``: find this space's index of a base processor.

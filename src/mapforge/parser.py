@@ -43,7 +43,11 @@ least one comma is a tuple literal.
 ``parse`` returns a :class:`MapperProgram`, or a list of
 :class:`Diagnostic` on failure.  Every syntax diagnostic message begins
 with ``"Syntax error,"`` and carries the 1-based line/column of the
-offending token.
+offending token.  An expression may nest at most ``MAX_NESTING`` levels
+deep, counting each parenthesis, argument list, subscript and ternary
+branch and each operator or postfix access in a chain, so that no
+recursive pass over the tree (parser, validator, printer, interpreter)
+can exhaust the Python stack.
 """
 
 from __future__ import annotations
@@ -70,6 +74,8 @@ SYMBOLS = (
 PARAM_KINDS = ("Task", "Tuple", "int")
 
 LAYOUT_KEYWORDS = ("SOA", "AOS", "C_order", "F_order", "No_Align")
+
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -147,6 +153,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # expression nesting levels open at the current token
 
     # -- token access --------------------------------------------------
 
@@ -178,6 +185,12 @@ class _Parser:
         if self._peek().type == token_type:
             return self._advance()
         return None
+
+    def _too_deep(self) -> _SyntaxFailure:
+        tok = self._peek()
+        return _SyntaxFailure(
+            tok.line, tok.col,
+            f"Syntax error, expression nested more than {MAX_NESTING} levels deep")
 
     # -- top level -----------------------------------------------------
 
@@ -374,15 +387,29 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------
 
+    # ``depth`` counts the expression levels open at the current token.
+    # It is checked wherever parsing recurses and at the end of each
+    # left-nested chain; chains restore it once built.
+
     def _expr(self) -> Expr:
-        return self._ternary()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self._too_deep()
+        expr = self._ternary()
+        self.depth -= 1
+        return expr
 
     def _ternary(self) -> Expr:
         cond = self._compare()
-        if self._match("?"):
+        if self._peek().type == "?":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise self._too_deep()
+            self._advance()
             then = self._ternary()
             self._expect(":")
             other = self._ternary()
+            self.depth -= 1
             return Ternary(cond, then, other)
         return cond
 
@@ -395,24 +422,39 @@ class _Parser:
             return BinOp(tok.type, lhs, rhs)
         return lhs
 
+    def _end_chain(self, depth: int) -> None:
+        if self.depth > MAX_NESTING:
+            raise self._too_deep()
+        self.depth = depth
+
     def _additive(self) -> Expr:
+        depth = self.depth
         expr = self._multiplicative()
         while self._peek().type in ("+", "-"):
+            self.depth += 1
             op = self._advance().type
             expr = BinOp(op, expr, self._multiplicative())
+        if self.depth != depth:
+            self._end_chain(depth)
         return expr
 
     def _multiplicative(self) -> Expr:
+        depth = self.depth
         expr = self._postfix()
         while self._peek().type in ("*", "/", "%"):
+            self.depth += 1
             op = self._advance().type
             expr = BinOp(op, expr, self._postfix())
+        if self.depth != depth:
+            self._end_chain(depth)
         return expr
 
     def _postfix(self) -> Expr:
+        depth = self.depth
         expr = self._primary()
         while True:
             if self._match("."):
+                self.depth += 1
                 name = self._expect_ident("attribute name").text
                 if self._match("("):
                     args = self._expr_list()
@@ -421,10 +463,15 @@ class _Parser:
                 else:
                     expr = Attr(expr, name)
             elif self._match("["):
+                self.depth += 1
+                if self.depth > MAX_NESTING:  # a splat recurses here
+                    raise self._too_deep()
                 indices = self._subscript_args()
                 self._expect("]")
                 expr = Subscript(expr, indices)
             else:
+                if self.depth != depth:
+                    self._end_chain(depth)
                 return expr
 
     def _primary(self) -> Expr:

@@ -1,10 +1,10 @@
 """Deterministic bulk-synchronous cost model for mapped applications.
 
-One iteration is modeled as: place every region argument (first fit
-down its memory preference list, per node), check layout requirements,
-assign every launch point to a processor through its index-mapping
-function (block distribution over the base grid when none is given),
-then charge
+One iteration is modeled as: assign every launch point to a processor
+through its index-mapping function (block distribution over the base
+grid when none is given), place every region argument (first fit down
+its memory preference list, per node), check layout requirements, then
+charge
 
     compute(proc) = sum over tasks of
         waves * launch_overhead + points * flops / rate * penalties
@@ -21,19 +21,29 @@ Transfers between points on the same processor are free, as are
 same-node transfers within one node-shared memory (anything but FBMEM,
 which is private to each GPU).
 
+Each mapping function runs once per task over all of its launch points
+(see :mod:`mapforge.evaluator`), and each exchange's point pairs are
+generated and charged as arrays of row-major point indices, in chunks.
+Sums of floats are still taken one term at a time in the order of a
+loop over the points and pairs, so results are the same to the bit.
+
 The model is not event-driven and knows nothing about network topology
 or load imbalance over time; it exists to rank mappers deterministically.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
+import numpy as np
+
 from .binder import MappingDecisionTable
 from .configs import ApplicationDescriptor, CostParams, ExchangeRule, TaskSpec
-from .evaluator import EvalEnv, EvalError, TaskHandle, build_env, eval_mapping
+from .evaluator import EvalEnv, EvalError, TaskHandle, build_env, eval_launch
 from .machine import MachineModel, ProcIndex, SpaceError
 from .ast import MapperProgram
 
@@ -154,45 +164,28 @@ def _memory_penalty(table: MappingDecisionTable, placement, task: TaskSpec,
 # --------------------------------------------------------------------------
 
 
-def _row_major(ipoint: tuple[int, ...], domain: tuple[int, ...]) -> int:
-    linear = 0
-    for coord, extent in zip(ipoint, domain):
-        linear = linear * extent + coord
-    return linear
+def _launch_domain(task: TaskSpec) -> tuple[int, ...]:
+    return task.domain if task.launch == "index" else (1,) * len(task.domain)
 
 
-def _default_block(ipoint: tuple[int, ...], domain: tuple[int, ...],
-                   machine: MachineModel, kind: str) -> ProcIndex:
+def _default_block(domain: tuple[int, ...], machine: MachineModel,
+                   kind: str) -> np.ndarray:
+    """Block distribution of the row-major points over the base grid."""
     count = machine.count(kind)
-    total_procs = machine.nodes * count
     points = math.prod(domain)
-    linear = _row_major(ipoint, domain) * total_procs // points
-    linear = min(linear, total_procs - 1)
-    return ProcIndex(linear // count, linear % count)
+    # Point i goes to linear processor i * P // N of the P processors.
+    linear = np.arange(points) * (machine.nodes * count) // points
+    procs = np.empty((points, 2), dtype=np.int64)
+    np.divmod(linear, count, out=(procs[:, 0], procs[:, 1]))
+    return procs
 
 
-def _all_points(domain: tuple[int, ...]):
-    if not domain:
-        yield ()
-        return
-    ranges = [range(e) for e in domain]
-    idx = [0] * len(domain)
-    while True:
-        yield tuple(idx)
-        for k in reversed(range(len(domain))):
-            idx[k] += 1
-            if idx[k] < domain[k]:
-                break
-            idx[k] = 0
-        else:
-            return
-
-
-def assign_points(app: ApplicationDescriptor, table: MappingDecisionTable,
-                  machine: MachineModel,
-                  env: Optional[EvalEnv] = None,
-                  ) -> dict[str, dict[tuple[int, ...], ProcIndex]] | MappingError:
-    """Map every launch point of every task to a concrete processor."""
+def _assign(app: ApplicationDescriptor, table: MappingDecisionTable,
+            machine: MachineModel, env: Optional[EvalEnv] = None,
+            ) -> dict[str, np.ndarray] | MappingError:
+    """Map every launch point of every task to a processor: for each task,
+    an (N, 2) array of (node, local) rows in row-major point order.  Each
+    mapping function runs once per task over all of its points."""
     if env is None:
         program = MapperProgram(table.bindings + tuple(table.functions.values()))
         try:
@@ -200,33 +193,47 @@ def assign_points(app: ApplicationDescriptor, table: MappingDecisionTable,
         except (EvalError, SpaceError) as exc:
             return MappingError(str(exc))
     root = TaskHandle("__root__", (0,), (1,), processor=ProcIndex(0, 0))
-    assignment: dict[str, dict[tuple[int, ...], ProcIndex]] = {}
+    assignment: dict[str, np.ndarray] = {}
     for task in app.tasks:
         kind = table.task_proc[task.name]
         func_name = (table.index_map.get(task.name) if task.launch == "index"
                      else table.single_map.get(task.name))
         func = table.functions.get(func_name) if func_name else None
-        points: dict[tuple[int, ...], ProcIndex] = {}
-        domain = task.domain if task.launch == "index" else (1,) * len(task.domain)
-        for ipoint in _all_points(domain):
-            if func is None:
-                proc = _default_block(ipoint, domain, machine, kind)
-            else:
-                handle = TaskHandle(task.name, ipoint, domain, parent=root)
-                try:
-                    proc = eval_mapping(func, handle, env)
-                except (EvalError, SpaceError) as exc:
-                    return MappingError(str(exc))
-                if not (0 <= proc.node < machine.nodes
-                        and 0 <= proc.local < machine.count(kind)):
-                    return MappingError(
-                        f"Slice processor index out of bound: mapping function "
-                        f"{func_name} produced ({proc.node}, {proc.local}) for "
-                        f"{machine.nodes} nodes with {machine.count(kind)} "
-                        f"{kind} processors each")
-            points[ipoint] = proc
-        assignment[task.name] = points
+        domain = _launch_domain(task)
+        if func is None:
+            if machine.count(kind) < 1:
+                return MappingError(f"no {kind} processors on machine {machine.name}")
+            assignment[task.name] = _default_block(domain, machine, kind)
+            continue
+        procs, error = eval_launch(func, task.name, domain, env, parent=root)
+        bad = ((procs < 0).any(axis=1) | (procs[:, 0] >= machine.nodes)
+               | (procs[:, 1] >= machine.count(kind)))
+        if bad.any():
+            node, local = procs[np.argmax(bad)].tolist()
+            return MappingError(
+                f"Slice processor index out of bound: mapping function "
+                f"{func_name} produced ({node}, {local}) for "
+                f"{machine.nodes} nodes with {machine.count(kind)} "
+                f"{kind} processors each")
+        if error is not None:
+            return MappingError(str(error))
+        assignment[task.name] = procs
     return assignment
+
+
+def assign_points(app: ApplicationDescriptor, table: MappingDecisionTable,
+                  machine: MachineModel,
+                  env: Optional[EvalEnv] = None,
+                  ) -> dict[str, dict[tuple[int, ...], ProcIndex]] | MappingError:
+    """Map every launch point of every task to a concrete processor."""
+    assignment = _assign(app, table, machine, env)
+    if isinstance(assignment, MappingError):
+        return assignment
+    return {
+        task.name: dict(zip(
+            itertools.product(*map(range, _launch_domain(task))),
+            itertools.starmap(ProcIndex, assignment[task.name].tolist())))
+        for task in app.tasks}
 
 
 # --------------------------------------------------------------------------
@@ -254,11 +261,9 @@ def _place_regions(app: ApplicationDescriptor, table: MappingDecisionTable,
         peak[key] = max(peak.get(key, 0.0), usage[key])
 
     for task in app.tasks:
-        points = assignment[task.name]
-        total = len(points)
-        per_node: dict[int, int] = {}
-        for proc in points.values():
-            per_node[proc.node] = per_node.get(proc.node, 0) + 1
+        nodes = assignment[task.name][:, 0]
+        total = len(nodes)
+        per_node = {node: n for node, n in enumerate(np.bincount(nodes).tolist()) if n}
         for arg in task.args:
             region = app.region(arg.region)
             prefs = table.region_mem[(task.name, arg.region)]
@@ -295,7 +300,7 @@ def _place_regions(app: ApplicationDescriptor, table: MappingDecisionTable,
 def simulate(app: ApplicationDescriptor, table: MappingDecisionTable,
              machine: MachineModel, params: CostParams,
              ) -> SimResult | SimError:
-    assignment = assign_points(app, table, machine)
+    assignment = _assign(app, table, machine)
     if isinstance(assignment, MappingError):
         return assignment
 
@@ -318,6 +323,8 @@ def simulate(app: ApplicationDescriptor, table: MappingDecisionTable,
     costs = _Costs(machine, params)
 
     # Compute time per processor; a processor is (kind, node, local).
+    # Each task's total sums its processors in the order its row-major
+    # points first reach them (Counter keeps first-insertion order).
     proc_time: dict[tuple[str, int, int], float] = {}
     per_task: dict[str, float] = {}
     for task in app.tasks:
@@ -329,43 +336,32 @@ def simulate(app: ApplicationDescriptor, table: MappingDecisionTable,
         limit = table.instance_limit.get(task.name)
         if limit is not None:
             width = min(width, limit)
-        counts: dict[tuple[int, int], int] = {}
-        for proc in assignment[task.name].values():
-            counts[(proc.node, proc.local)] = counts.get((proc.node, proc.local), 0) + 1
+        count = machine.count(kind)
+        points_per_proc = Counter(_proc_ids(assignment[task.name], count).tolist())
         task_total = 0.0
-        for (node, local), n_points in counts.items():
+        for proc, n_points in points_per_proc.items():
             waves = -(-n_points // width)
             t = waves * costs.latency(kind) + n_points * point_time
-            key = (kind, node, local)
+            key = (kind, proc // count, proc % count)
             proc_time[key] = proc_time.get(key, 0.0) + t
             task_total += t
         per_task[task.name] = task_total
 
-    # Communication time per link from the exchange rules.
-    link_time: dict[tuple[int, int], float] = {}
-    inter_node_bytes = 0.0
+    # Communication time per link from the exchange rules.  Slot
+    # a * nodes + b holds link (a, b), a <= b; the last slot holds the
+    # inter-node bytes.
+    totals = np.zeros(machine.nodes * machine.nodes + 1)
     for rule in app.exchanges:
         task = app.task(rule.task)
-        points = assignment[task.name]
         mems = placement.get((task.name, rule.region), {})
-        for src_pt, dst_pt in _exchange_pairs(rule, task.domain):
-            src = points[src_pt]
-            dst = points[dst_pt]
-            if src == dst:
-                continue
-            same_node = src.node == dst.node
-            src_mem = mems.get(src.node, "SYSMEM")
-            dst_mem = mems.get(dst.node, "SYSMEM")
-            if not same_node:
-                inter_node_bytes += rule.bytes_per_point
-            elif src_mem == dst_mem and src_mem in NODE_SHARED_MEMS:
-                continue  # one shared buffer: no copy
-            bw = costs.bandwidth(src_mem, dst_mem, same_node)
-            link = (min(src.node, dst.node), max(src.node, dst.node))
-            link_time[link] = link_time.get(link, 0.0) + rule.bytes_per_point / bw
+        count = machine.count(table.task_proc[task.name])
+        _charge_exchange(rule, task.domain, assignment[task.name], count,
+                         mems, costs, machine.nodes, totals)
+    link_time = totals[:-1].tolist()
+    inter_node_bytes = float(totals[-1])
 
     compute = max(proc_time.values(), default=0.0)
-    comm = max(link_time.values(), default=0.0)
+    comm = max(link_time, default=0.0)
     wall = app.iterations * (compute + comm)
     if wall <= 0.0:
         wall = 1e-12
@@ -384,22 +380,101 @@ def simulate(app: ApplicationDescriptor, table: MappingDecisionTable,
     )
 
 
-def _exchange_pairs(rule: ExchangeRule, domain: tuple[int, ...]):
-    """Ordered (source point, destination point) pairs of one exchange."""
+# --------------------------------------------------------------------------
+# Exchanges
+# --------------------------------------------------------------------------
+
+# Exchange pairs are generated and charged in chunks of about this many,
+# so that memory stays flat on large launch domains.
+PAIR_CHUNK = 1 << 14
+
+
+def _proc_ids(procs: np.ndarray, count: int) -> np.ndarray:
+    """One integer per point for its processor: node * count + local."""
+    return procs[:, 0] * count + procs[:, 1]
+
+
+def _pair_chunks(rule: ExchangeRule, domain: tuple[int, ...]):
+    """Yield (source, destination) arrays of row-major point indices for
+    the ordered pairs of one exchange, in chunks: destinations in
+    row-major order, and for each its offsets in rule order (stencil) or
+    the other points along the axis in increasing order (all-to-all)."""
+    rank = len(domain)
+    strides = [math.prod(domain[k + 1:]) for k in range(rank)]
     if rule.pattern == "stencil":
-        for dst in _all_points(domain):
-            for offset in rule.offsets:
-                src = tuple(c + o for c, o in zip(dst, offset))
+        shifts = np.array(rule.offsets).reshape(-1, rank)
+    else:  # all-to-all: the axis coordinate is replaced, not shifted
+        shifts = np.zeros((domain[rule.axis], rank), dtype=np.int64)
+        shifts[:, rule.axis] = np.arange(domain[rule.axis])
+    masked = rule.pattern == "alltoall" or not rule.wrap
+    size = math.prod(domain)
+    step = max(1, PAIR_CHUNK // len(shifts))
+    for start in range(0, size, step):
+        dst = np.arange(start, min(start + step, size))
+        src = np.zeros((len(dst), len(shifts)), dtype=np.int64)
+        keep = np.ones(src.shape, dtype=bool) if masked else None
+        for k in range(rank):
+            coord = (dst // strides[k] % domain[k])[:, None]
+            if rule.pattern == "alltoall" and k == rule.axis:
+                moved = np.broadcast_to(shifts[:, k], src.shape)
+                keep &= moved != coord
+            else:
+                moved = coord + shifts[:, k]
                 if rule.wrap:
-                    src = tuple(c % e for c, e in zip(src, domain))
-                elif not all(0 <= c < e for c, e in zip(src, domain)):
-                    continue
-                yield src, dst
-    else:  # alltoall along one axis
-        axis = rule.axis
-        for dst in _all_points(domain):
-            for other in range(domain[axis]):
-                if other == dst[axis]:
-                    continue
-                src = dst[:axis] + (other,) + dst[axis + 1:]
-                yield src, dst
+                    moved %= domain[k]
+                elif keep is not None:
+                    keep &= (moved >= 0) & (moved < domain[k])
+            src += moved * strides[k]
+        if keep is None:
+            yield src.ravel(), np.repeat(dst, len(shifts))
+        else:
+            yield src[keep], np.broadcast_to(dst[:, None], src.shape)[keep]
+
+
+def _charge_exchange(rule: ExchangeRule, domain: tuple[int, ...],
+                     procs: np.ndarray, count: int, mems: Mapping[int, str],
+                     costs: _Costs, nodes: int, totals: np.ndarray) -> None:
+    """Add one exchange's link times and inter-node bytes to ``totals``.
+
+    Pairs on one processor are free, as are same-node pairs within one
+    node-shared memory.  Every other pair adds bytes / bandwidth to its
+    link, and an inter-node pair also adds its bytes to the inter-node
+    total.  ``np.add.at`` adds onto the running sums one pair at a time
+    in pair order, as a loop over the pairs does, so the sums are the
+    same to the bit.
+    """
+    ids = _proc_ids(procs, count)
+    # Per route (source node * nodes + destination node): the link time
+    # of one pair and its slot in ``totals``, -1 for a free route.
+    route_time = np.zeros(nodes * nodes)
+    route_slot = np.full(nodes * nodes, -1)
+    known: set[int] = set()
+    for src, dst in _pair_chunks(rule, domain):
+        src, dst = ids[src], ids[dst]
+        moved = src != dst
+        src_node, dst_node = src[moved] // count, dst[moved] // count
+        routes = src_node * nodes + dst_node
+        for route in set(np.flatnonzero(np.bincount(routes)).tolist()) - known:
+            route_time[route], route_slot[route] = _route_weight(
+                rule, divmod(route, nodes), mems, costs, nodes)
+            known.add(route)
+        slot = route_slot[routes]
+        charged = slot >= 0
+        np.add.at(totals, slot[charged], route_time[routes[charged]])
+        inter = np.count_nonzero(src_node != dst_node)
+        np.add.at(totals, np.full(inter, len(totals) - 1), rule.bytes_per_point)
+
+
+def _route_weight(rule: ExchangeRule, route: tuple[int, int],
+                  mems: Mapping[int, str], costs: _Costs, nodes: int,
+                  ) -> tuple[float, int]:
+    """(link time, link slot) of one pair from node ``src`` to ``dst``;
+    slot -1 when the pair shares one buffer and costs nothing."""
+    src, dst = route
+    same_node = src == dst
+    src_mem = mems.get(src, "SYSMEM")
+    dst_mem = mems.get(dst, "SYSMEM")
+    if same_node and src_mem == dst_mem and src_mem in NODE_SHARED_MEMS:
+        return 0.0, -1
+    bw = costs.bandwidth(src_mem, dst_mem, same_node)
+    return rule.bytes_per_point / bw, min(src, dst) * nodes + max(src, dst)

@@ -5,7 +5,7 @@ import pytest
 
 from mapforge.ast import MapperProgram, RegionStmt, TaskStmt
 from mapforge.binder import (
-    LayoutChoice, decision_dimensions, decision_vector, emit, resolve,
+    LayoutChoice, closure_of, decision_dimensions, decision_vector, emit, resolve,
     search_space_size, table_from_choices,
 )
 from mapforge.configs import (
@@ -292,3 +292,41 @@ def test_resolve_is_deterministic(machine, circuit_app):
     program = parse_valid(source)
     assert resolve(program, circuit_app, machine) == resolve(
         program, circuit_app, machine)
+
+
+# -- closure of the bindings a mapping function needs ---------------------------
+
+
+@pytest.mark.parametrize("name,options", [
+    ("cannon", ("block1D_x", "block1D_y", "cyclic1D_x", "cyclic1D_y")),
+    ("pumma", ("block1D_x", "block1D_y", "cyclic1D_x", "cyclic1D_y")),
+    ("summa", ("block1D_x", "block1D_y", "cyclic1D_x", "cyclic1D_y")),
+    ("cosma", ("block3d",)),
+    ("johnson", ("block3d",)),
+])
+def test_vector_candidates_keep_transitive_bindings(name, options, machine, costs):
+    # m1 = m.merge(0, 1).split(0, 1) needs m; m_6d = m.split(...) needs m.
+    from mapforge.simulator import SimResult, simulate
+
+    app = load_app_named(name)
+    dims = decision_dimensions(app)
+    for option in options:
+        choices = [option if d.dim_id[0] == "imap" else
+                   ("GPU" if "GPU" in d.options else d.options[0]) for d in dims]
+        table = table_from_choices(app, choices)
+        assert {b.name for b in table.bindings} >= {"m"}
+        result = simulate(app, table, machine, costs)
+        assert isinstance(result, SimResult), (option, result)
+
+
+def test_closure_follows_bindings_transitively():
+    program = parse_valid("""
+a = Machine(GPU);
+b = a.merge(0, 1);
+c = b.split(0, 1);
+unused = Machine(CPU);
+def f(Task t) { return c[0, 0]; }
+""")
+    functions, bindings = closure_of(program.functions, program, {"f"})
+    assert list(functions) == ["f"]
+    assert [b.name for b in bindings] == ["a", "b", "c"]

@@ -187,3 +187,36 @@ def test_single_token_corruption_reports_corrupted_line(garbage):
             if not isinstance(result, list):
                 continue  # the corruption happened to stay grammatical
             assert result[0].line == line_no, (path.name, line_no, col, result[0])
+
+
+# -- nesting limit --------------------------------------------------------------
+
+
+def nested_parens(depth):
+    return "x = " + "(" * depth + "1" + ")" * depth + ";"
+
+
+def test_nesting_up_to_the_limit_parses():
+    from mapforge.parser import MAX_NESTING
+
+    # The binding's expression is one level; each parenthesis adds one.
+    ok(nested_parens(MAX_NESTING - 1))
+    ok("x = 1" + " + 1" * (MAX_NESTING - 1) + ";")
+
+
+@pytest.mark.parametrize("depth", [141, 3000])
+def test_deep_nesting_is_a_syntax_error(depth):
+    diag = first_diag(nested_parens(depth))
+    assert diag.message.startswith("Syntax error, expression nested more than")
+    assert (diag.line, diag.col) == (1, 5 + 100)
+
+
+@pytest.mark.parametrize("source", [
+    "x = 1" + " + 1" * 3000 + ";",
+    "x = " + "1 ? " * 3000 + "1" + " : 0" * 3000 + ";",
+    "x = m" + ".swap(0, 1)" * 3000 + ";",
+    "x = " + "t[" * 3000 + "0" + "]" * 3000 + ";",
+    "x = " + "g(" * 3000 + "1" + ")" * 3000 + ";",
+], ids=["sum", "ternary", "methods", "subscripts", "calls"])
+def test_long_chains_count_as_nesting(source):
+    assert "nested more than" in first_diag(source).message

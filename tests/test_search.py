@@ -294,3 +294,51 @@ def test_evaluate_program_compile_failure(machine, costs):
     result, report = evaluate_program("Task ;", app, machine, costs)
     assert result is None
     assert report.kind == "CompileError"
+
+
+# -- deeply nested text ---------------------------------------------------------
+
+DEEP_HEAD = "Task * GPU;\nRegion * * * FBMEM;\nm = Machine(GPU);\n"
+
+
+def nested_program(depth):
+    return DEEP_HEAD + "x = " + "(" * depth + "1" + ")" * depth + ";\n"
+
+
+@pytest.mark.parametrize("depth", [141, 3000])
+def test_deep_nesting_is_a_compile_error(depth, machine, costs):
+    app = load_app_named("circuit")
+    result, report = evaluate_program(nested_program(depth), app, machine, costs)
+    assert result is None
+    assert report.kind == "CompileError"
+    assert "nested more than" in report.system_message
+
+
+@pytest.mark.parametrize("depth", [141, 3000])
+def test_deep_nesting_does_not_end_a_run(depth, machine, costs):
+    app = load_app_named("circuit")
+
+    def deep(history, dims, seed):
+        return {"program": nested_program(depth)}
+
+    trajectory = run(app, machine, costs, deep, ObjectiveSpec(budget=2))
+    assert [r.feedback.kind for r in trajectory.records] == ["CompileError"] * 2
+
+
+def test_nesting_at_the_limit_evaluates(machine, costs):
+    # Every pass over the tree (validate, resolve, print, interpret)
+    # handles the deepest text the parser accepts.
+    from mapforge.parser import MAX_NESTING
+
+    app = load_app_named("circuit")
+    depth = MAX_NESTING - 1
+    bodies = [
+        "(" * depth + "i" + ")" * depth,
+        "i" + " + 0" * depth,
+        "1 ? " * depth + "i" + " : 0" * depth,
+    ]
+    for body in bodies:
+        text = (DEEP_HEAD + "def f(Task t) { i = t.ipoint[0]; x = " + body + "; "
+                "return m[x % 2, 0]; }\nIndexTaskMap calculate_new_currents f;\n")
+        result, report = evaluate_program(text, app, machine, costs)
+        assert report.kind == "PerformanceMetric", report

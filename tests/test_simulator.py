@@ -77,7 +77,9 @@ def test_point_conservation_across_corpus_mappings(machine, costs):
                     continue
                 assignment = assign_points(app, table, machine)
                 if isinstance(assignment, MappingError):
-                    continue  # uneven decompose options fail cleanly
+                    # uneven decompose options fail cleanly
+                    assert "decompose shape" in assignment.text, (option, assignment)
+                    continue
                 for spec in app.tasks:
                     assert len(assignment[spec.name]) == spec.points
 
@@ -444,3 +446,16 @@ tasks: []
     result = load_app(bad)
     assert isinstance(result, list)
     assert "not a valid identifier" in result[0].message
+
+
+def test_default_block_on_a_missing_processor_kind_is_a_mapping_error(
+        single_node_machine, costs):
+    # A vector candidate may pick a kind the machine lacks (single-node
+    # has no OMP); without a mapping function this is reported, not raised.
+    region = RegionSpec("r", 8, 1e5, (("SYSMEM",),))
+    task = TaskSpec("t", "index", (4,), 1e6, (VariantSpec("OMP"),),
+                    (TaskArg("r", 1e3),), ("OMP",))
+    app = ApplicationDescriptor("omp_only", "time", 1, (region,), (task,), ())
+    table = table_from_choices(app, default_choices(app))
+    result = simulate(app, table, single_node_machine, costs)
+    assert result == MappingError("no OMP processors on machine single-node")
