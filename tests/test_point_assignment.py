@@ -12,6 +12,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from mapforge.binder import decision_dimensions, resolve, table_from_choices
 from mapforge.configs import (
@@ -222,3 +224,36 @@ def test_hand_written_case(name, machine, costs):
         assert [(p.node, p.local) for p in assignment["work"].values()] == outcome
         assert isinstance(simulate(app, table, machine, costs), SimResult)
     assert_matches_per_point(app, table, machine)
+
+
+# -- random mapping functions against the per-point reference -------------------
+
+def int_exprs():
+    leaves = st.sampled_from(["0", "1", "2", "3", "7", "100000000000000000000",
+                              "p[0]", "p[1]", "s[0]", "m.size[1]"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/%"), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(inner, st.sampled_from(["<", "==", ">="]), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(inner, inner, inner).map(
+                lambda t: f"({t[0]} ? {t[1]} : {t[2]})"),
+            st.tuples(inner, inner, inner).map(
+                lambda t: f"({t[0]}, {t[1]})[{t[2]}]"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_exprs(), int_exprs(), st.booleans())
+def test_random_functions_match_per_point(machine, node, local, wrap):
+    if wrap:
+        node, local = f"({node}) % 2", f"({local}) % 4"
+    function = (f"def f(Tuple p, Tuple s) {{ a = {node}; b = {local}; "
+                f"return m[a, b]; }}")
+    app = one_task_app((4, 3), "GPU")
+    program = parse_valid(HEAD.format(kind="GPU") + function + "\nIndexTaskMap work f;\n")
+    assert_matches_per_point(app, resolve(program, app, machine), machine)
