@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import binder, search
@@ -171,11 +170,7 @@ def cmd_optimize(args) -> int:
                               args.level, seed, rules)
 
     seeds = list(range(args.seeds))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            trajectories = list(pool.map(run_seed, seeds))
-    else:
-        trajectories = [run_seed(s) for s in seeds]
+    trajectories = [run_seed(s) for s in seeds]
 
     search.write_csv(trajectories, args.out, baseline_score)
     print(f"wrote {args.out}: {sum(len(t.records) for t in trajectories)} rows "
@@ -275,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--baseline")
     p_opt.add_argument("--svg")
     p_opt.add_argument("--adapter-url")
-    p_opt.add_argument("--jobs", type=int, default=1)
     p_opt.set_defaults(fn=cmd_optimize)
 
     p_space = sub.add_parser("space", help="print an application's decision-space size")

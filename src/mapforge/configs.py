@@ -313,7 +313,12 @@ def _parse_exchange(data: dict, path: str,
         tuple(_as_int(v, f"{path}.offsets[{i}][{j}]", positive=False)
               for j, v in enumerate(_as_list(off, f"{path}.offsets[{i}]")))
         for i, off in enumerate(_as_list(data.get("offsets", []), f"{path}.offsets")))
-    rank = len(tasks[task].domain)
+    spec = tasks[task]
+    if spec.launch == "single" and math.prod(spec.domain) > 1:
+        raise _SchemaError(path, f"task {task} has a single launch, so its "
+                                 f"exchanges need a one-point domain, not "
+                                 f"{math.prod(spec.domain)} points")
+    rank = len(spec.domain)
     if pattern == "stencil":
         if not offsets:
             raise _SchemaError(f"{path}.offsets", "stencil pattern needs offsets")

@@ -36,6 +36,7 @@ always produce the identical processor index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -586,9 +587,15 @@ def corpus_path(*parts: str) -> Path:
     return Path(resources.files("mapforge") / "corpus").joinpath(*parts)
 
 
+@functools.cache
 def builtin_program() -> MapperProgram:
     """All bundled mapping functions and their transformation preludes,
-    merged into one program."""
+    merged into one program.
+
+    The files are parsed on the first call only; later calls return the
+    same program.  It is immutable: its ``functions`` and ``bindings``
+    build a new dict on every access.
+    """
     from .parser import parse_valid
 
     statements = []

@@ -11,6 +11,7 @@ text at a lower level is always a prefix of the text at a higher one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -105,7 +106,9 @@ def load_rules(path: Union[str, Path]) -> list[EnhancerRule]:
     return rules
 
 
-def default_rules() -> list[EnhancerRule]:
+@functools.cache
+def default_rules() -> tuple[EnhancerRule, ...]:
+    """The bundled rules, read on the first call only."""
     from .evaluator import corpus_path
 
-    return load_rules(corpus_path("feedback_rules.cfg"))
+    return tuple(load_rules(corpus_path("feedback_rules.cfg")))

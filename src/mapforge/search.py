@@ -12,6 +12,9 @@ Built-in strategies: ``random`` (uniform over every dimension),
 restarts after a stall), ``exhaustive`` (lexicographic enumeration),
 and ``external`` (an optimizer behind the adapter wire protocol).  All
 built-ins are deterministic given (history, seed).
+
+A run evaluates each distinct program text once; a repeated text reuses
+the result and system feedback of its first evaluation.
 """
 
 from __future__ import annotations
@@ -239,6 +242,8 @@ def run(app: ApplicationDescriptor, machine: MachineModel, costs: CostParams,
     dims = decision_dimensions(app)
     trajectory = Trajectory(strategy_name, seed, app.name, machine.name)
     best_score: Optional[float] = None
+    # Evaluation is deterministic, so a repeated text reuses its outcome.
+    evaluated: dict[str, tuple[Optional[SimResult], FeedbackReport]] = {}
 
     for iteration in range(objective.budget):
         candidate, failure = _propose(strategy_fn, trajectory.records, dims,
@@ -247,8 +252,10 @@ def run(app: ApplicationDescriptor, machine: MachineModel, costs: CostParams,
             report = failure
             score = None
         else:
-            result, report = evaluate_program(candidate.program_text, app,
-                                              machine, costs)
+            text = candidate.program_text
+            if text not in evaluated:
+                evaluated[text] = evaluate_program(text, app, machine, costs)
+            result, report = evaluated[text]
             score = result.throughput if result is not None else None
         report = enhance(report, rules, feedback_level)
         if score is not None and (best_score is None or score > best_score):

@@ -4,7 +4,8 @@
 every IndexTaskMap/SingleTaskMap names a defined function, every
 variable resolves to a parameter, a prior local, or a top-level
 binding, mapping entry points return a processor-space subscript,
-alignment constraints are powers of two, and there is no recursion.
+alignment constraints are powers of two, there is no recursion, and
+no chain of nested calls is longer than ``MAX_CALL_DEPTH``.
 
 The checks use a small four-valued type inference (int / tuple / space
 / proc / task / unknown); anything that cannot be decided statically
@@ -19,6 +20,13 @@ from .ast import (
     MachineExpr, MapperProgram, MethodCall, Name, RegionStmt, ReturnStmt,
     SingleTaskMapStmt, Splat, Subscript, TaskStmt, Ternary, TupleLit,
 )
+
+# Most calls a chain of nested calls may hold, counted from a mapping
+# function or a top-level binding.  A body nested ``MAX_NESTING`` levels
+# deep can take about 390 interpreter frames, so a caller and one callee
+# both at that limit take about 780 of Python's default 1000; one more
+# level would not fit.
+MAX_CALL_DEPTH = 1
 
 SPACE_METHODS = ("split", "merge", "swap", "slice", "decompose")
 TASK_ATTRS = ("ipoint", "ispace", "parent")
@@ -87,35 +95,15 @@ def free_names(func: FuncDef) -> set[str]:
 
 def called_functions(func: FuncDef) -> set[str]:
     names: set[str] = set()
-
-    def walk(expr: Expr):
-        if isinstance(expr, Call):
-            names.add(expr.func)
-            for a in expr.args:
-                walk(a)
-        elif isinstance(expr, TupleLit):
-            for e in expr.items:
-                walk(e)
-        elif isinstance(expr, (Attr, Splat)):
-            walk(expr.base if isinstance(expr, Attr) else expr.value)
-        elif isinstance(expr, MethodCall):
-            walk(expr.base)
-            for a in expr.args:
-                walk(a)
-        elif isinstance(expr, BinOp):
-            walk(expr.lhs)
-            walk(expr.rhs)
-        elif isinstance(expr, Subscript):
-            walk(expr.base)
-            for i in expr.indices:
-                walk(i)
-        elif isinstance(expr, Ternary):
-            walk(expr.cond)
-            walk(expr.then)
-            walk(expr.other)
-
     for stmt in func.body:
-        walk(stmt.expr)
+        names |= _calls_in(stmt.expr)
+    return names
+
+
+def _calls_in(expr: Expr) -> set[str]:
+    names = {expr.func} if isinstance(expr, Call) else set()
+    for child in _children(expr):
+        names |= _calls_in(child)
     return names
 
 
@@ -329,12 +317,35 @@ def validate(program: MapperProgram) -> list[Diagnostic]:
             check_calls(stmt.expr, stmt)
 
     # Recursion is rejected: mapping functions must terminate.
-    recursive = _find_recursion(functions)
+    calls = {name: called_functions(f) & functions.keys()
+             for name, f in functions.items()}
+    components = _components(calls)
+    recursive = {name for component in components for name in component
+                 if len(component) > 1 or name in calls[name]}
     for name in sorted(recursive):
         diagnostics.append(_error(functions[name], f"recursive mapping function {name}"))
 
+    # Each call nests the interpreter and the type inference one function
+    # deeper, so call chains are bounded like expression nesting.
+    too_deep = []
+    if not recursive:
+        depth: dict[str, int] = {}  # calls on the longest chain below
+        for (name,) in components:
+            depth[name] = max((1 + depth[c] for c in calls[name]), default=0)
+        called = set().union(*calls.values())
+        too_deep = [functions[name] for name in functions
+                    if name not in called and depth[name] > MAX_CALL_DEPTH]
+        too_deep += [stmt for stmt in program.statements
+                     if isinstance(stmt, AssignStmt)
+                     and max((1 + depth[c] for c in _calls_in(stmt.expr)
+                              if c in depth), default=0) > MAX_CALL_DEPTH]
+        for stmt in too_deep:
+            diagnostics.append(_error(
+                stmt, f"call chain from {stmt.name} is more than "
+                      f"{MAX_CALL_DEPTH} calls deep"))
+
     # Mapping entry points must exist and return a space subscript.
-    inference = None if recursive else _Inference(program, diagnostics)
+    inference = None if recursive or too_deep else _Inference(program, diagnostics)
     for stmt in program.statements:
         if isinstance(stmt, (IndexTaskMapStmt, SingleTaskMapStmt)):
             kind = "IndexTaskMap" if isinstance(stmt, IndexTaskMapStmt) else "SingleTaskMap"
@@ -386,17 +397,44 @@ def _children(expr: Expr):
     return ()
 
 
-def _find_recursion(functions: dict[str, FuncDef]) -> set[str]:
-    calls = {name: called_functions(f) & functions.keys() for name, f in functions.items()}
-    recursive: set[str] = set()
+def _components(calls: dict[str, set[str]]) -> list[list[str]]:
+    """Strongly connected components of a call graph, each after every
+    component it calls.
 
-    def visit(name: str, stack: tuple[str, ...]):
-        if name in stack:
-            recursive.update(stack[stack.index(name):])
-            return
-        for callee in calls.get(name, ()):
-            visit(callee, stack + (name,))
-
-    for name in functions:
-        visit(name, ())
-    return recursive
+    Tarjan's algorithm, iterative and linear in the size of the graph.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    components: list[list[str]] = []
+    for root in calls:
+        if root in index:
+            continue
+        work = [(root, iter(calls[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            name, callees = work[-1]
+            callee = next(callees, None)
+            if callee is not None:
+                if callee not in index:
+                    index[callee] = low[callee] = len(index)
+                    stack.append(callee)
+                    on_stack.add(callee)
+                    work.append((callee, iter(calls[callee])))
+                elif callee in on_stack:
+                    low[name] = min(low[name], index[callee])
+                continue
+            work.pop()
+            if work:
+                caller = work[-1][0]
+                low[caller] = min(low[caller], low[name])
+            if low[name] == index[name]:
+                component = []
+                while not component or component[-1] != name:
+                    component.append(stack.pop())
+                    on_stack.discard(component[-1])
+                components.append(component)
+    return components

@@ -264,16 +264,6 @@ def EXPERT_TOY(tmp_path):
     return str(path)
 
 
-def test_optimize_jobs_flag_keeps_output_identical(capsys, tmp_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    base = ["optimize", "--app", TOY, "--machine", MACHINE,
-            "--strategy", "random", "--iters", "5", "--seeds", "4"]
-    run_cli(capsys, *base, "--out", str(serial))
-    run_cli(capsys, *base, "--out", str(parallel), "--jobs", "4")
-    assert serial.read_text() == parallel.read_text()
-
-
 def test_optimize_rejects_nonpositive_budget(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "optimize", "--app", TOY, "--machine", MACHINE,

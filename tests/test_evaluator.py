@@ -317,3 +317,34 @@ def test_builtin_library_names():
                  "cyclic_primitive", "linearize_cyclic", "special_linearize3D",
                  "conditional_linearize3D", "block3d"]:
         assert name in library
+
+
+def test_builtins_are_parsed_once_across_candidates(monkeypatch):
+    from mapforge import parser
+    from mapforge.binder import decision_dimensions, table_from_choices
+
+    from conftest import load_app_named
+
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_valid(text)
+
+    builtin_program.cache_clear()
+    monkeypatch.setattr(parser, "parse_valid", counting)
+    for name in ("cannon", "circuit"):
+        app = load_app_named(name)
+        dims = decision_dimensions(app)
+        for k in range(20):
+            table_from_choices(app, [d.options[k % len(d.options)] for d in dims])
+    assert len(parsed) == 3
+
+
+def test_builtin_library_is_unchanged_by_callers():
+    library = builtin_library()
+    names = list(library)
+    del library["block2D"]
+    library["cyclic2D"] = None
+    assert list(builtin_library()) == names
+    assert builtin_library()["cyclic2D"] is builtin_program().functions["cyclic2D"]

@@ -169,3 +169,12 @@ def test_rule_file_rejects_missing_keyword(tmp_path):
     path.write_text("- explain: no keyword\n")
     with pytest.raises(ValueError, match="keyword"):
         load_rules(path)
+
+
+def test_default_rules_are_read_once(monkeypatch):
+    from mapforge import feedback
+
+    first = default_rules()
+    monkeypatch.setattr(feedback, "load_rules", None)
+    assert default_rules() is first
+    assert isinstance(first, tuple) and first

@@ -1,11 +1,16 @@
 import itertools
 import math
+import sys
+import time
 
 import pytest
 from scipy import stats
 
+from mapforge import search
 from mapforge.binder import DecisionDimension, decision_dimensions, table_from_choices
-from mapforge.feedback import LEVEL_SYSTEM, FeedbackReport
+from mapforge.feedback import (
+    LEVEL_FULL, LEVEL_SYSTEM, FeedbackReport, default_rules, enhance, render,
+)
 from mapforge.search import (
     Candidate, IterationRecord, ObjectiveSpec, Trajectory, aggregate,
     evaluate_program, exhaustive, hill_climb, random_agent, run, write_csv,
@@ -13,8 +18,9 @@ from mapforge.search import (
 from mapforge.simulator import simulate
 
 from conftest import expert_source, load_app_named
-from mapforge.parser import parse_valid
+from mapforge.parser import parse, parse_valid
 from mapforge.binder import resolve
+from mapforge.validator import MAX_CALL_DEPTH
 
 
 def fake_record(index, choices, score, best):
@@ -342,3 +348,125 @@ def test_nesting_at_the_limit_evaluates(machine, costs):
                 "return m[x % 2, 0]; }\nIndexTaskMap calculate_new_currents f;\n")
         result, report = evaluate_program(text, app, machine, costs)
         assert report.kind == "PerformanceMetric", report
+
+
+# -- deep call chains -----------------------------------------------------------
+
+
+def chain_program(length):
+    # g{k} calls g{k-1}: a chain of ``length`` nested calls below f.
+    funcs = ["def g0(int a) { return a; }"]
+    funcs += [f"def g{k}(int a) {{ return g{k - 1}(a); }}" for k in range(1, length)]
+    return (DEEP_HEAD + "\n".join(funcs) + "\n"
+            f"def f(Task t) {{ return m[g{length - 1}(t.ipoint[0]) % 2, 0]; }}\n"
+            "IndexTaskMap calculate_new_currents f;\n")
+
+
+def diamond_program(layers):
+    # f{k} calls a{k} and b{k}, which both call f{k-1}: 2**layers paths.
+    funcs = ["def f0(int x) { return x; }"]
+    for k in range(1, layers + 1):
+        funcs += [f"def a{k}(int x) {{ return f{k - 1}(x); }}",
+                  f"def b{k}(int x) {{ return f{k - 1}(x + 1); }}",
+                  f"def f{k}(int x) {{ return a{k}(x) + b{k}(x); }}"]
+    return (DEEP_HEAD + "\n".join(funcs) + "\n"
+            f"def f(Task t) {{ return m[f{layers}(t.ipoint[0]) % 2, 0]; }}\n"
+            "IndexTaskMap calculate_new_currents f;\n")
+
+
+DEEP_CALLS = {"chain1000": chain_program(1000), "diamond25": diamond_program(25)}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_CALLS))
+def test_deep_call_chain_is_a_compile_error(name, machine, costs):
+    app = load_app_named("circuit")
+    start = time.perf_counter()
+    result, report = evaluate_program(DEEP_CALLS[name], app, machine, costs)
+    assert time.perf_counter() - start < 2.0
+    assert result is None
+    assert report.kind == "CompileError"
+    assert "calls deep" in report.system_message
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_CALLS))
+def test_deep_call_chain_does_not_end_a_run(name, machine, costs):
+    app = load_app_named("circuit")
+
+    def deep(history, dims, seed):
+        return {"program": DEEP_CALLS[name]}
+
+    trajectory = run(app, machine, costs, deep, ObjectiveSpec(budget=2))
+    assert [r.feedback.kind for r in trajectory.records] == ["CompileError"] * 2
+
+
+def limit_shell(inner):
+    # As many ``(0, e)[1]`` around ``inner`` as one statement allows: each
+    # adds one nesting level and four interpreter frames, the most of any
+    # construct.
+    shell = inner
+    while not isinstance(parse(f"x = (0, {shell})[1];"), list):
+        shell = f"(0, {shell})[1]"
+    return shell
+
+
+def limit_chain(calls):
+    funcs = [f"def h0(int a) {{ return {limit_shell('a')}; }}"]
+    funcs += [f"def h{k}(int a) {{ return {limit_shell(f'h{k - 1}(a)')}; }}"
+              for k in range(1, calls)]
+    return (DEEP_HEAD + "\n".join(funcs) + "\n"
+            f"def f(Task t) {{ x = {limit_shell(f'h{calls - 1}(t.ipoint[0])')}; "
+            "return m[x % 2, 0]; }\n"
+            "IndexTaskMap calculate_new_currents f;\n")
+
+
+def test_calls_and_nesting_at_their_limits_evaluate(machine, costs):
+    assert sys.getrecursionlimit() == 1000
+    app = load_app_named("circuit")
+    result, report = evaluate_program(limit_chain(MAX_CALL_DEPTH), app, machine, costs)
+    assert report.kind == "PerformanceMetric", report
+    result, report = evaluate_program(limit_chain(MAX_CALL_DEPTH + 1), app,
+                                      machine, costs)
+    assert report.system_message == (
+        f"call chain from f is more than {MAX_CALL_DEPTH} calls deep")
+
+
+# -- one evaluation per distinct text ---------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["circuit", "cannon"])
+def test_run_matches_uncached_reference(name, machine, costs):
+    app = load_app_named(name)
+    trajectory = run(app, machine, costs, "hillclimb", ObjectiveSpec(budget=80),
+                     seed=5)
+    texts = [r.candidate.program_text for r in trajectory.records]
+    assert all(texts) and len(set(texts)) < len(texts)
+    best = None
+    for record in trajectory.records:
+        result, report = evaluate_program(record.candidate.program_text, app,
+                                          machine, costs)
+        report = enhance(report, default_rules(), LEVEL_FULL)
+        score = result.throughput if result is not None else None
+        if score is not None and (best is None or score > best):
+            best = score
+        assert record.feedback == report
+        assert record.rendered_feedback == render(report)
+        assert record.score == score
+        assert record.best_so_far == best
+
+
+def test_each_distinct_text_is_evaluated_once_per_run(monkeypatch, machine, costs):
+    app = load_app_named("circuit")
+    evaluated = []
+
+    def counting(text, *args):
+        evaluated.append(text)
+        return evaluate_program(text, *args)
+
+    monkeypatch.setattr(search, "evaluate_program", counting)
+    trajectory = run(app, machine, costs, "hillclimb", ObjectiveSpec(budget=40),
+                     seed=5)
+    texts = [r.candidate.program_text for r in trajectory.records]
+    assert sorted(evaluated) == sorted(set(texts))
+    assert len(evaluated) < len(texts)
+    run(app, machine, costs, "hillclimb", ObjectiveSpec(budget=40), seed=5)
+    assert len(evaluated) == 2 * len(set(texts))

@@ -399,6 +399,37 @@ exchanges:
     assert "no region argument nope" in result[0].message
 
 
+SINGLE_LAUNCH_EXCHANGE = """
+name: x
+regions:
+  - {name: r, element_size: 8, footprint: 1.0}
+tasks:
+  - name: t
+    launch: single
+    domain: [DOMAIN]
+    flops_per_point: 1.0
+    proc_options: [GPU]
+    variants: {GPU: {}}
+    args: [{region: r, bytes_per_point: 1.0}]
+exchanges:
+  - {task: t, region: r, pattern: stencil, offsets: [[1]], wrap: true, bytes_per_point: 1.0}
+"""
+
+
+def test_exchange_on_single_launch_needs_one_point(tmp_path, machine, costs):
+    bad = tmp_path / "bad.app"
+    bad.write_text(SINGLE_LAUNCH_EXCHANGE.replace("DOMAIN", "4"))
+    result = load_app(bad)
+    assert isinstance(result, list)
+    assert result[0].message.startswith("exchanges[0]: task t has a single launch")
+    good = tmp_path / "good.app"
+    good.write_text(SINGLE_LAUNCH_EXCHANGE.replace("DOMAIN", "1"))
+    app = load_app(good)
+    assert not isinstance(app, list)
+    table = resolve(parse_valid("Task * GPU;\nRegion * * GPU FBMEM;\n"), app, machine)
+    assert isinstance(simulate(app, table, machine, costs), SimResult)
+
+
 def test_machine_and_costs_loaders_validate(tmp_path):
     bad = tmp_path / "m.machine"
     bad.write_text("name: m\nnodes: 0\nprocs: {}\nmemories: {}\n")

@@ -1,5 +1,8 @@
+import random
+import time
+
 from mapforge.parser import parse
-from mapforge.validator import free_names, validate
+from mapforge.validator import MAX_CALL_DEPTH, free_names, validate
 
 from conftest import corpus_dsl_files
 
@@ -141,3 +144,73 @@ def test_validation_is_pure():
     source = corpus_dsl_files()[0].read_text()
     program = parse(source)
     assert validate(program) == validate(program)
+
+
+def recursive_by_paths(calls):
+    """Reference: the functions on some call cycle, found by following
+    every call path (exponential in the worst case)."""
+    recursive = set()
+
+    def visit(name, stack):
+        if name in stack:
+            recursive.update(stack[stack.index(name):])
+            return
+        for callee in calls[name]:
+            visit(callee, stack + (name,))
+
+    for name in calls:
+        visit(name, ())
+    return recursive
+
+
+def call_graph_program(calls):
+    lines = []
+    for name, callees in calls.items():
+        body = " + ".join(f"{c}(a)" for c in sorted(callees)) or "a"
+        lines.append(f"def {name}(int a) {{ return {body}; }}")
+    return "\n".join(lines)
+
+
+def recursive_reported(source):
+    prefix = "recursive mapping function "
+    return {m[len(prefix):] for m in diags(source) if m.startswith(prefix)}
+
+
+def test_recursion_set_matches_path_enumeration():
+    # f1 -> f3 -> f2 -> f1 is a cycle that a back-edge-only search misses
+    # when f2 is finished before f3 is reached.
+    cases = [{"f1": {"f2", "f3"}, "f2": {"f1"}, "f3": {"f2"}}]
+    rng = random.Random(0)
+    for _ in range(300):
+        names = [f"f{i}" for i in range(rng.randint(1, 7))]
+        cases.append({n: {c for c in names if rng.random() < 0.25} for n in names})
+    for calls in cases:
+        assert recursive_reported(call_graph_program(calls)) == \
+            recursive_by_paths(calls), calls
+
+
+def test_diamond_call_graph_validates_in_linear_time():
+    # f{k} calls a{k} and b{k}, which both call f{k-1}.
+    calls = {"f0": set()}
+    for k in range(1, 41):
+        calls.update({f"a{k}": {f"f{k - 1}"}, f"b{k}": {f"f{k - 1}"},
+                      f"f{k}": {f"a{k}", f"b{k}"}})
+    start = time.perf_counter()
+    messages = diags(call_graph_program(calls))
+    assert time.perf_counter() - start < 2.0
+    assert messages == [f"call chain from f40 is more than {MAX_CALL_DEPTH} calls deep"]
+    calls["f0"] = {"f40"}
+    assert recursive_reported(call_graph_program(calls)) == set(calls)
+
+
+def test_call_chain_limit_counts_calls_from_bindings_and_functions():
+    chain = ["def g0(int a) { return a; }"]
+    chain += [f"def g{k}(int a) {{ return g{k - 1}(a); }}"
+              for k in range(1, MAX_CALL_DEPTH + 1)]
+    source = "\n".join(chain) + "\n"
+    top = f"g{MAX_CALL_DEPTH}"
+    assert diags(source + f"x = g{MAX_CALL_DEPTH - 1}(1);") == []
+    assert diags(source + f"x = {top}(1);") == [
+        f"call chain from x is more than {MAX_CALL_DEPTH} calls deep"]
+    assert diags(source + f"def f(int a) {{ return {top}(a); }}") == [
+        f"call chain from f is more than {MAX_CALL_DEPTH} calls deep"]
