@@ -17,13 +17,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mapforge.binder import resolve
 from mapforge.cli import _write_svg
 from mapforge.configs import load_app, load_costs, load_machine
 from mapforge.evaluator import corpus_path
-from mapforge.parser import parse_valid
-from mapforge.search import ObjectiveSpec, aggregate, run, write_csv
-from mapforge.simulator import simulate
+from mapforge.search import (
+    ObjectiveSpec, aggregate, evaluate_program, run, write_csv,
+)
 
 APPS = ["stencil", "circuit", "pennant", "cannon", "summa", "pumma",
         "johnson", "solomonik", "cosma"]
@@ -48,10 +47,8 @@ def main():
           f"{'search best':>12s} {'normalized':>10s}")
     for name in args.apps:
         app = load_app(corpus_path("apps", f"{name}.app"))
-        expert_program = parse_valid(
-            corpus_path("experts", f"{name}.dsl").read_text())
-        table = resolve(expert_program, app, machine)
-        expert = simulate(app, table, machine, costs).throughput
+        expert_text = corpus_path("experts", f"{name}.dsl").read_text()
+        expert = evaluate_program(expert_text, app, machine, costs)[0].throughput
 
         random_scores = [
             run(app, machine, costs, "random", ObjectiveSpec(budget=1),

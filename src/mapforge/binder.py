@@ -296,26 +296,18 @@ def decision_vector(table: MappingDecisionTable,
 
 
 def table_from_choices(app: ApplicationDescriptor, choices: Sequence,
-                       functions: Optional[dict[str, FuncDef]] = None,
-                       bindings: Sequence[AssignStmt] = (),
                        ) -> MappingDecisionTable:
     """Build a table from one chosen option per decision dimension.
 
-    Index-mapping choices are function names; their definitions are
-    taken from ``functions`` (defaulting to the built-in library).
+    Index-mapping choices are names of built-in library functions.
     """
     from .evaluator import builtin_program
 
     dims = decision_dimensions(app)
     if len(choices) != len(dims):
         raise ValueError(f"expected {len(dims)} choices, got {len(choices)}")
-    if functions is None:
-        program = builtin_program()
-        functions = program.functions
-        all_bindings = tuple(s for s in program.statements
-                             if isinstance(s, AssignStmt))
-    else:
-        all_bindings = tuple(bindings)
+    library = builtin_program()
+    functions = library.functions
 
     task_proc: dict[str, str] = {}
     region_mem: dict[tuple[str, str], tuple[str, ...]] = {}
@@ -334,8 +326,7 @@ def table_from_choices(app: ApplicationDescriptor, choices: Sequence,
                 raise ValueError(f"unknown mapping function {choice}")
             index_map[dim.dim_id[1]] = choice
 
-    helper = MapperProgram(all_bindings + tuple(functions.values()))
-    kept, kept_bindings = closure_of(functions, helper, set(index_map.values()))
+    kept, kept_bindings = closure_of(functions, library, set(index_map.values()))
     return MappingDecisionTable(
         task_proc, region_mem, region_layout, index_map, {}, {}, frozenset(),
         kept, kept_bindings)

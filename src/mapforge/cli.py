@@ -20,10 +20,7 @@ from pathlib import Path
 from . import binder, search
 from .adapter import AdapterClient
 from .configs import CostParams, load_app, load_costs, load_machine
-from .feedback import LEVEL_FULL, LEVELS, classify, default_rules, enhance, load_rules, render
-from .parser import parse
-from .simulator import SimResult, simulate
-from .validator import validate
+from .feedback import LEVEL_FULL, LEVELS, default_rules, enhance, load_rules, render
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -44,13 +41,10 @@ def _read_text(path: str) -> str:
         raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc.strerror}")
 
 
-def _load_program(path: str):
-    text = _read_text(path)
-    program = parse(text)
-    if isinstance(program, list):
-        return program
-    diagnostics = validate(program)
-    return diagnostics if diagnostics else program
+def _report(diagnostics, path: str) -> int:
+    for diagnostic in diagnostics:
+        print(diagnostic.render(path), file=sys.stderr)
+    return EXIT_USER
 
 
 def _load(loader, path: str, what: str):
@@ -75,12 +69,10 @@ def _rules_for(args):
 
 
 def cmd_check(args) -> int:
-    result = _load_program(args.mapper)
-    if isinstance(result, list):
-        for diagnostic in result:
-            print(diagnostic.render(args.mapper), file=sys.stderr)
-        return EXIT_USER
-    print(f"{args.mapper}: OK ({len(result.statements)} statements)")
+    program = search.compile_program(_read_text(args.mapper))
+    if isinstance(program, list):
+        return _report(program, args.mapper)
+    print(f"{args.mapper}: OK ({len(program.statements)} statements)")
     return EXIT_OK
 
 
@@ -88,21 +80,15 @@ def cmd_simulate(args) -> int:
     app = _load(load_app, args.app, "application")
     machine = _load(load_machine, args.machine, "machine")
     costs = _load(load_costs, args.costs, "costs") if args.costs else CostParams()
-    result = _load_program(args.mapper)
-    if isinstance(result, list):
-        for diagnostic in result:
-            print(diagnostic.render(args.mapper), file=sys.stderr)
-        return EXIT_USER
-    table = binder.resolve(result, app, machine)
-    if isinstance(table, list):
-        for diagnostic in table:
-            print(diagnostic.render(args.mapper), file=sys.stderr)
-        return EXIT_USER
-    outcome = simulate(app, table, machine, costs)
-    rules = _rules_for(args)
-    report = enhance(classify(outcome, app.metric), rules, args.feedback_level)
-    print(render(report))
-    if not isinstance(outcome, SimResult):
+    program = search.compile_program(_read_text(args.mapper))
+    if isinstance(program, list):
+        return _report(program, args.mapper)
+    evaluated = search.simulate_program(program, app, machine, costs)
+    if isinstance(evaluated, list):
+        return _report(evaluated, args.mapper)
+    outcome, report = evaluated
+    print(render(enhance(report, _rules_for(args), args.feedback_level)))
+    if outcome is None:
         return EXIT_EXEC
     print(f"wall_time={outcome.wall_time!r}")
     print(f"throughput={outcome.throughput!r}")
@@ -133,19 +119,16 @@ def cmd_optimize(args) -> int:
 
     baseline_score = None
     if args.baseline:
-        result = _load_program(args.baseline)
-        if isinstance(result, list):
-            raise _CliFailure(EXIT_USER,
-                              f"baseline mapper {args.baseline} has errors")
-        table = binder.resolve(result, app, machine)
-        if isinstance(table, list):
-            raise _CliFailure(EXIT_USER,
-                              f"baseline mapper {args.baseline} does not resolve")
-        outcome = simulate(app, table, machine, costs)
-        if not isinstance(outcome, SimResult):
-            raise _CliFailure(EXIT_USER,
-                              f"baseline mapper {args.baseline} fails to execute")
-        baseline_score = outcome.throughput
+        name = f"baseline mapper {args.baseline}"
+        program = search.compile_program(_read_text(args.baseline))
+        if isinstance(program, list):
+            raise _CliFailure(EXIT_USER, f"{name} has errors")
+        evaluated = search.simulate_program(program, app, machine, costs)
+        if isinstance(evaluated, list):
+            raise _CliFailure(EXIT_USER, f"{name} does not resolve")
+        if evaluated[0] is None:
+            raise _CliFailure(EXIT_USER, f"{name} fails to execute")
+        baseline_score = evaluated[0].throughput
 
     if args.strategy == "external":
         endpoint = args.adapter_url or os.environ.get("MAPFORGE_ADAPTER")

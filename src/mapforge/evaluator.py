@@ -538,7 +538,7 @@ def eval_launch(func: FuncDef, name: str, ispace: tuple[int, ...], env: EvalEnv,
                 f"got {_kind(result)}")
         return result
 
-    procs, failure = _first_failure(run, np.arange(size))
+    procs, failure = _first_failure(run, size)
     if failure is None:
         return procs, None
     error = failure[1]
@@ -547,32 +547,43 @@ def eval_launch(func: FuncDef, name: str, ispace: tuple[int, ...], env: EvalEnv,
     return procs, error
 
 
-def _first_failure(run, rows: np.ndarray):
-    """Evaluate ``run`` on the points ``rows`` (ascending).
+def _first_failure(run, size: int):
+    """Evaluate ``run`` on the points 0 .. size-1.
 
     Returns (procs, failure): the (node, local) rows of the points before
-    the first failing one, and (its position in ``rows``, its error), or
-    None when no point fails.  A failure at position k is only final once
-    the points before k are evaluated without it, since one of them may
-    fail at a later step.
+    the first failing one, and (its position, its error), or None when no
+    point fails.  Points are evaluated in groups taken from a work list,
+    lowest first.  A group that fails at one of its points makes that
+    point a candidate; it is final once every point before it has been
+    evaluated, since one of them may fail at a later step.  The group's
+    points before the failing one go back on the list in two halves, so
+    that failures at ever earlier points take a logarithmic number of
+    runs rather than one run each.  A group that splits goes back as its
+    parts.
     """
-    try:
-        return run(rows), None
-    except (EvalError, SpaceError) as exc:
-        if exc.row == 0:
-            return np.empty((0, 2), dtype=np.int64), (0, exc)
-        procs, failure = _first_failure(run, rows[:exc.row])
-        return procs, failure or (exc.row, exc)
-    except _Split as split:
-        procs = np.empty((len(rows), 2), dtype=np.int64)
-        first = None
-        for label in sorted(set(split.labels.tolist())):
-            where = np.flatnonzero(split.labels == label)
-            part, failure = _first_failure(run, rows[where])
-            procs[where[:len(part)]] = part
-            if failure is not None and (first is None or where[failure[0]] < first[0]):
-                first = (int(where[failure[0]]), failure[1])
-        return procs[:len(rows) if first is None else first[0]], first
+    done = []  # (rows, procs) of each group that evaluated without failing
+    limit, error = size, None  # the first failing point found so far
+    work = [np.arange(size)]
+    while work:
+        rows = work.pop()
+        rows = rows[:np.searchsorted(rows, limit)]  # rows ascend
+        if not len(rows):
+            continue
+        try:
+            done.append((rows, run(rows)))
+        except (EvalError, SpaceError) as exc:
+            limit, error = int(rows[exc.row]), exc
+            half = exc.row // 2
+            work += [rows[half:exc.row], rows[:half]]
+        except _Split as split:
+            labels = sorted(set(split.labels.tolist()), reverse=True)
+            work += [rows[split.labels == label] for label in labels]
+    if error is None and len(done) == 1:
+        return done[0][1], None  # every point in one run
+    procs = np.empty((size, 2), dtype=np.int64)
+    for rows, part in done:
+        procs[rows] = part
+    return procs[:limit], None if error is None else (limit, error)
 
 
 # --------------------------------------------------------------------------

@@ -179,10 +179,6 @@ class ProcessorSpace:
     chain: tuple[TransformStep, ...] = ()
 
     @property
-    def size(self) -> tuple[int, ...]:
-        return self.dims
-
-    @property
     def rank(self) -> int:
         return len(self.dims)
 

@@ -2,10 +2,17 @@
 
 Each iteration a strategy proposes a candidate mapper from the full
 history (prior candidates, scores, and rendered feedback texts) and the
-decision-dimension domains.  The candidate is validated, resolved, and
-simulated; the outcome is classified and enhanced at the configured
-feedback level and appended to the history.  Failures never stop a run:
-an erroring candidate is recorded with its feedback and no score.
+decision-dimension domains.  The candidate is evaluated; the outcome is
+classified and enhanced at the configured feedback level and appended to
+the history.  Failures never stop a run: an erroring candidate is
+recorded with its feedback and no score.
+
+Evaluation has two steps, and they are the only evaluation path: the
+search loop, ``mapforge check``/``simulate``, the ``optimize --baseline``
+expert and the scripts all go through them.  ``compile_program`` parses
+and validates a text; ``simulate_program`` resolves a compiled program
+to a decision table and simulates it.  ``evaluate_program`` is the two
+steps plus classification into system feedback.
 
 Built-in strategies: ``random`` (uniform over every dimension),
 ``hillclimb`` (mutate one dimension of the best candidate, with random
@@ -27,6 +34,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from .adapter import AdapterClient, AdapterError, build_request, parse_response
+from .ast import Diagnostic, MapperProgram
 from .binder import (
     DecisionDimension, decision_dimensions, emit, resolve, table_from_choices,
 )
@@ -47,10 +55,7 @@ STALL_LIMIT = 12
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    direction: str = "maximize"  # throughput
-    baseline: Optional[float] = None
     budget: int = DEFAULT_BUDGET
-    seeds: int = DEFAULT_SEEDS
 
 
 @dataclass
@@ -125,11 +130,11 @@ def _stall_length(history) -> int:
     return len(history) - 1 - last_improve
 
 
-def hill_climb(history, dims, seed: int, stall_limit: int = STALL_LIMIT) -> dict:
+def hill_climb(history, dims, seed: int) -> dict:
     rng = _rng(seed, len(history))
     base = _best_with_choices(history)
     stalls = _stall_length(history) if history else 0
-    if base is None or (stalls > 0 and stalls % stall_limit == 0):
+    if base is None or (stalls > 0 and stalls % STALL_LIMIT == 0):
         return {"choices": [rng.choice(dim.options) for dim in dims]}
     choices = list(base.choices)
     dim_index = rng.randrange(len(dims))
@@ -204,24 +209,41 @@ STRATEGIES = {
 # --------------------------------------------------------------------------
 
 
+def compile_program(text: str) -> Union[MapperProgram, list[Diagnostic]]:
+    """The compile step: parse and validate one program text.  Returns
+    the program, or the diagnostics of the first stage that fails."""
+    program = parse(text)
+    if isinstance(program, list):
+        return program
+    return validate(program) or program
+
+
+def simulate_program(program: MapperProgram, app: ApplicationDescriptor,
+                     machine: MachineModel, costs: CostParams,
+                     ) -> Union[list[Diagnostic],
+                                tuple[Optional[SimResult], FeedbackReport]]:
+    """The run step: resolve a compiled program and simulate it.  Returns
+    the resolve diagnostics, or the result (None on failure) and its
+    system-level feedback."""
+    table = resolve(program, app, machine)
+    if isinstance(table, list):
+        return table
+    outcome = simulate(app, table, machine, costs)
+    return (outcome if isinstance(outcome, SimResult) else None,
+            classify(outcome, app.metric))
+
+
 def evaluate_program(text: str, app: ApplicationDescriptor,
                      machine: MachineModel, costs: CostParams,
                      ) -> tuple[Union[SimResult, None], FeedbackReport]:
     """Compile, resolve, and simulate one candidate program; returns the
     result (None on failure) and its system-level feedback."""
-    program = parse(text)
-    if isinstance(program, list):
-        return None, classify(program, app.metric)
-    diagnostics = validate(program)
-    if diagnostics:
-        return None, classify(diagnostics, app.metric)
-    table = resolve(program, app, machine)
-    if isinstance(table, list):
-        return None, classify(table, app.metric)
-    outcome = simulate(app, table, machine, costs)
-    if isinstance(outcome, SimResult):
-        return outcome, classify(outcome, app.metric)
-    return None, classify(outcome, app.metric)
+    program = compile_program(text)
+    outcome = (program if isinstance(program, list)
+               else simulate_program(program, app, machine, costs))
+    if isinstance(outcome, list):
+        return None, classify(outcome, app.metric)
+    return outcome
 
 
 def run(app: ApplicationDescriptor, machine: MachineModel, costs: CostParams,

@@ -37,13 +37,13 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 import numpy as np
 
 from .binder import MappingDecisionTable
 from .configs import ApplicationDescriptor, CostParams, ExchangeRule, TaskSpec
-from .evaluator import EvalEnv, EvalError, TaskHandle, build_env, eval_launch
+from .evaluator import EvalError, TaskHandle, build_env, eval_launch
 from .machine import MachineModel, ProcIndex, SpaceError
 from .ast import MapperProgram
 
@@ -181,17 +181,15 @@ def _default_block(domain: tuple[int, ...], machine: MachineModel,
 
 
 def _assign(app: ApplicationDescriptor, table: MappingDecisionTable,
-            machine: MachineModel, env: Optional[EvalEnv] = None,
-            ) -> dict[str, np.ndarray] | MappingError:
+            machine: MachineModel) -> dict[str, np.ndarray] | MappingError:
     """Map every launch point of every task to a processor: for each task,
     an (N, 2) array of (node, local) rows in row-major point order.  Each
     mapping function runs once per task over all of its points."""
-    if env is None:
-        program = MapperProgram(table.bindings + tuple(table.functions.values()))
-        try:
-            env = build_env(program, machine)
-        except (EvalError, SpaceError) as exc:
-            return MappingError(str(exc))
+    program = MapperProgram(table.bindings + tuple(table.functions.values()))
+    try:
+        env = build_env(program, machine)
+    except (EvalError, SpaceError) as exc:
+        return MappingError(str(exc))
     root = TaskHandle("__root__", (0,), (1,), processor=ProcIndex(0, 0))
     assignment: dict[str, np.ndarray] = {}
     for task in app.tasks:
@@ -223,10 +221,9 @@ def _assign(app: ApplicationDescriptor, table: MappingDecisionTable,
 
 def assign_points(app: ApplicationDescriptor, table: MappingDecisionTable,
                   machine: MachineModel,
-                  env: Optional[EvalEnv] = None,
                   ) -> dict[str, dict[tuple[int, ...], ProcIndex]] | MappingError:
     """Map every launch point of every task to a concrete processor."""
-    assignment = _assign(app, table, machine, env)
+    assignment = _assign(app, table, machine)
     if isinstance(assignment, MappingError):
         return assignment
     return {

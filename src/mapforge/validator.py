@@ -51,34 +51,13 @@ def _error(node, message: str) -> Diagnostic:
 
 def expr_names(expr: Expr) -> set[str]:
     """All variable and function names referenced by an expression."""
-    if isinstance(expr, Name):
-        return {expr.ident}
-    if isinstance(expr, Call):
-        names = {expr.func}
-        for arg in expr.args:
-            names |= expr_names(arg)
-        return names
-    if isinstance(expr, TupleLit):
-        return set().union(*(expr_names(e) for e in expr.items)) if expr.items else set()
-    if isinstance(expr, Attr):
-        return expr_names(expr.base)
-    if isinstance(expr, MethodCall):
-        names = expr_names(expr.base)
-        for arg in expr.args:
-            names |= expr_names(arg)
-        return names
-    if isinstance(expr, BinOp):
-        return expr_names(expr.lhs) | expr_names(expr.rhs)
-    if isinstance(expr, Subscript):
-        names = expr_names(expr.base)
-        for idx in expr.indices:
-            names |= expr_names(idx)
-        return names
-    if isinstance(expr, Splat):
-        return expr_names(expr.value)
-    if isinstance(expr, Ternary):
-        return expr_names(expr.cond) | expr_names(expr.then) | expr_names(expr.other)
-    return set()
+    names = set()
+    for node in _walk(expr):
+        if isinstance(node, Name):
+            names.add(node.ident)
+        elif isinstance(node, Call):
+            names.add(node.func)
+    return names
 
 
 def free_names(func: FuncDef) -> set[str]:
@@ -101,10 +80,15 @@ def called_functions(func: FuncDef) -> set[str]:
 
 
 def _calls_in(expr: Expr) -> set[str]:
-    names = {expr.func} if isinstance(expr, Call) else set()
-    for child in _children(expr):
-        names |= _calls_in(child)
-    return names
+    return {node.func for node in _walk(expr) if isinstance(node, Call)}
+
+
+def _walk(expr: Expr) -> list[Expr]:
+    """``expr`` and every expression nested in it."""
+    nodes = [expr]
+    for node in nodes:
+        nodes.extend(_children(node))
+    return nodes
 
 
 # --------------------------------------------------------------------------
@@ -377,24 +361,23 @@ def _entry_signature_ok(func: FuncDef) -> bool:
     return kinds == ["Task"] or kinds == ["Tuple", "Tuple"]
 
 
+# The direct subexpressions of each expression node type; the others
+# (names, literals, machine expressions) have none.
+_CHILDREN = {
+    Call: lambda e: e.args,
+    TupleLit: lambda e: e.items,
+    Attr: lambda e: (e.base,),
+    MethodCall: lambda e: (e.base, *e.args),
+    BinOp: lambda e: (e.lhs, e.rhs),
+    Subscript: lambda e: (e.base, *e.indices),
+    Splat: lambda e: (e.value,),
+    Ternary: lambda e: (e.cond, e.then, e.other),
+}
+
+
 def _children(expr: Expr):
-    if isinstance(expr, Call):
-        return expr.args
-    if isinstance(expr, TupleLit):
-        return expr.items
-    if isinstance(expr, Attr):
-        return (expr.base,)
-    if isinstance(expr, MethodCall):
-        return (expr.base, *expr.args)
-    if isinstance(expr, BinOp):
-        return (expr.lhs, expr.rhs)
-    if isinstance(expr, Subscript):
-        return (expr.base, *expr.indices)
-    if isinstance(expr, Splat):
-        return (expr.value,)
-    if isinstance(expr, Ternary):
-        return (expr.cond, expr.then, expr.other)
-    return ()
+    children = _CHILDREN.get(type(expr))
+    return children(expr) if children else ()
 
 
 def _components(calls: dict[str, set[str]]) -> list[list[str]]:

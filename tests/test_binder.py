@@ -178,24 +178,23 @@ def test_vector_round_trip_on_corpus_tables(machine, circuit_app):
         table = resolve(program, circuit_app, machine)
         vector = decision_vector(table, circuit_app)
         rebuilt = table_from_choices(
-            circuit_app, [chosen for (_, chosen, _) in vector],
-            functions=program.functions, bindings=program.bindings.values())
+            circuit_app, [chosen for (_, chosen, _) in vector])
         assert rebuilt.task_proc == table.task_proc
         assert rebuilt.region_mem == table.region_mem
         assert rebuilt.region_layout == table.region_layout
 
 
 def test_vector_round_trip_covers_index_maps(machine):
+    # Index-map choices name built-in functions; a table resolved from
+    # the emitted text gives back the same choices and definitions.
     app = load_app_named("solomonik")
-    source = corpus_path("generated", "solomonik_iter10.dsl").read_text()
-    program = parse_valid(source)
-    table = resolve(program, app, machine)
+    choices = [d.options[-1] for d in decision_dimensions(app)]
+    program = emit(table_from_choices(app, choices), app)
+    table = resolve_text(print_program(program), app, machine)
     vector = decision_vector(table, app)
-    rebuilt = table_from_choices(
-        app, [chosen for (_, chosen, _) in vector],
-        functions=program.functions, bindings=program.bindings.values())
+    rebuilt = table_from_choices(app, [chosen for (_, chosen, _) in vector])
     assert rebuilt.index_map == table.index_map == {
-        "task_1": "linearize2D", "task_2": "linearize2D"}
+        "task_1": "special_linearize3D", "task_2": "cyclic2D"}
     assert rebuilt.functions == table.functions
     assert rebuilt.bindings == table.bindings
 

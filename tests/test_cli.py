@@ -1,12 +1,16 @@
 import itertools
 import math
 
+import pytest
+
 from mapforge.binder import decision_dimensions, table_from_choices
 from mapforge.cli import main
 from mapforge.evaluator import corpus_path
+from mapforge.feedback import default_rules, enhance, render
+from mapforge.search import evaluate_program
 from mapforge.simulator import simulate
 
-from conftest import load_app_named
+from conftest import APP_NAMES, load_app_named
 
 
 APP = str(corpus_path("apps", "circuit.app"))
@@ -99,12 +103,44 @@ def test_simulate_rejects_invalid_mapper(capsys, tmp_path):
     assert "IndexTaskMap's function undefined" in err
 
 
+def test_simulate_reports_resolve_diagnostics(capsys, tmp_path):
+    # A mapper that validates but maps no task to a processor fails in
+    # resolve; its diagnostics are rendered against the mapper's path.
+    mapper = tmp_path / "m.dsl"
+    mapper.write_text("Region * * * FBMEM;\n")
+    code, out, err = run_cli(capsys, "simulate", "--app", APP,
+                             "--mapper", str(mapper), "--machine", MACHINE)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"{mapper}:1:1: error: no processor mapping for task {task}"
+        for task in ("calculate_new_currents", "distribute_charge",
+                     "update_voltages")]
+
+
 def test_simulate_is_deterministic(capsys):
     argv = ["simulate", "--app", APP, "--mapper", EXPERT, "--machine", MACHINE,
             "--costs", COSTS]
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize("name", APP_NAMES)
+def test_simulate_agrees_with_evaluate_program(capsys, name, machine, costs):
+    # The CLI's feedback lines are the search loop's rendered feedback
+    # for the same text.
+    app = load_app_named(name)
+    expert = corpus_path("experts", f"{name}.dsl")
+    code, out, _ = run_cli(capsys, "simulate", "--app",
+                           str(corpus_path("apps", f"{name}.app")),
+                           "--mapper", str(expert), "--machine", MACHINE,
+                           "--costs", COSTS)
+    _, report = evaluate_program(expert.read_text(), app, machine, costs)
+    rendered = render(enhance(report, default_rules()))
+    assert code == 0
+    assert out.splitlines()[:len(rendered.splitlines())] == rendered.splitlines()
+    assert out.splitlines()[len(rendered.splitlines())].startswith("wall_time=")
 
 
 # -- space --------------------------------------------------------------------
@@ -193,6 +229,44 @@ def test_optimize_baseline_self_consistency(capsys, tmp_path, machine, costs):
         "--seeds", "1", "--out", str(out_csv), "--baseline", str(baseline))
     assert code == 0
     assert "best_normalized=1.0" in out
+
+
+BIG_APP = """
+name: big
+regions:
+  - {name: r, element_size: 8, footprint: 1.0e+12, mem_options: [[FBMEM]]}
+tasks:
+  - name: t
+    domain: [4]
+    flops_per_point: 1.0
+    proc_options: [GPU]
+    variants: {GPU: {}}
+    args: [{region: r, bytes_per_point: 1.0}]
+"""
+
+
+@pytest.mark.parametrize("app_text, mapper_text, message", [
+    (None, "IndexTaskMap t missing;\n", "has errors"),
+    (None, "Region * * * FBMEM;\n", "does not resolve"),
+    (BIG_APP, "Task * GPU;\nRegion * * * FBMEM;\n", "fails to execute"),
+])
+def test_optimize_baseline_failures_are_user_errors(
+        capsys, tmp_path, app_text, mapper_text, message):
+    app = TOY
+    if app_text is not None:
+        app = tmp_path / "big.app"
+        app.write_text(app_text)
+    baseline = tmp_path / "baseline.dsl"
+    baseline.write_text(mapper_text)
+    out_csv = tmp_path / "t.csv"
+    code, out, err = run_cli(
+        capsys, "optimize", "--app", str(app), "--machine", MACHINE,
+        "--iters", "2", "--seeds", "1", "--out", str(out_csv),
+        "--baseline", str(baseline))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: baseline mapper {baseline} {message}\n"
+    assert not out_csv.exists()
 
 
 def test_optimize_unknown_strategy(capsys, tmp_path):

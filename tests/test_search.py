@@ -191,7 +191,7 @@ def test_hill_climb_all_singleton_domains_stall_into_restart():
 
 def test_hill_climb_solves_separable_objective():
     # score = number of dimensions set to the designated good option;
-    # reaching the optimum must take at most dims * stall_limit steps.
+    # reaching the optimum must take at most dims * STALL_LIMIT steps.
     n_dims = 8
     dims = dims_of(*[["good", "bad1", "bad2"]] * n_dims)
 
@@ -348,6 +348,45 @@ def test_nesting_at_the_limit_evaluates(machine, costs):
                 "return m[x % 2, 0]; }\nIndexTaskMap calculate_new_currents f;\n")
         result, report = evaluate_program(text, app, machine, costs)
         assert report.kind == "PerformanceMetric", report
+
+
+# -- failures at ever earlier points ---------------------------------------------
+
+
+def staggered_failures(statements, points):
+    # Statement k fails only at point ``points - 1 - k``: each shorter
+    # prefix of the points first fails one statement later.
+    body = " ".join(f"a{k} = (0, 1)[ipoint[0] == {points - 1 - k} ? 2 : 0];"
+                    for k in range(statements))
+    return (DEEP_HEAD + f"def f(Task t) {{ ipoint = t.ipoint; {body} "
+            "return m[0, 0]; }\nIndexTaskMap work f;\n")
+
+
+def test_staggered_failures_are_an_execution_error(machine, costs):
+    from mapforge.configs import (
+        ApplicationDescriptor, RegionSpec, TaskArg, TaskSpec, VariantSpec,
+    )
+    from mapforge.evaluator import build_env, eval_launch
+
+    task = TaskSpec("work", "index", (1200,), 1e6, (VariantSpec("GPU"),),
+                    (TaskArg("r", 1e3),), ("GPU",))
+    app = ApplicationDescriptor("one", "time", 1,
+                                (RegionSpec("r", 8, 1e6, (("FBMEM",),)),),
+                                (task,), ())
+    text = staggered_failures(1100, 1200)
+    start = time.perf_counter()
+    result, report = evaluate_program(text, app, machine, costs)
+    assert time.perf_counter() - start < 1.0
+    assert result is None
+    assert report.kind == "ExecutionError"
+    assert report.system_message == "tuple index 2 out of range for length 2"
+
+    # Points 0..99 map; point 100 is the first to fail (at the last statement).
+    program = parse_valid(text)
+    procs, error = eval_launch(program.functions["f"], "work", (1200,),
+                               build_env(program, machine))
+    assert procs.tolist() == [[0, 0]] * 100
+    assert str(error) == "tuple index 2 out of range for length 2"
 
 
 # -- deep call chains -----------------------------------------------------------
