@@ -24,6 +24,10 @@ MEM_ALIASES = {
 
 ALIGN_OPS = ("==", "<=", ">=")
 
+# A DSL identifier, ASCII only.  The tokenizer and the descriptor loaders
+# both use it: task and region names in descriptors appear in mappers.
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+
 # A task/region pattern is an identifier, a positional index (regions
 # only), or the wildcard "*".
 Pattern = Union[str, int]

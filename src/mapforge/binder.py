@@ -67,7 +67,7 @@ class MappingDecisionTable:
 
 
 def _match_name(pattern: str, name: str) -> Optional[int]:
-    """Specificity of a task-pattern match: 1 exact, 0 wildcard, None miss."""
+    """Specificity of a task or processor match: 1 exact, 0 wildcard, None miss."""
     if pattern == WILDCARD:
         return 0
     return 1 if pattern == name else None
@@ -79,12 +79,6 @@ def _match_region(pattern, name: str, index: int) -> Optional[int]:
     if isinstance(pattern, int):
         return 1 if pattern == index else None
     return 1 if pattern == name else None
-
-
-def _match_proc(pattern: str, proc: str) -> Optional[int]:
-    if pattern == WILDCARD:
-        return 0
-    return 1 if pattern == proc else None
 
 
 def _best(candidates):
@@ -145,13 +139,13 @@ def resolve(program: MapperProgram, app: ApplicationDescriptor,
                 if isinstance(stmt, RegionStmt):
                     specs = (_match_name(stmt.task_pattern, task.name),
                              _match_region(stmt.region_pattern, arg.region, arg_index),
-                             _match_proc(stmt.proc, chosen))
+                             _match_name(stmt.proc, chosen))
                     if all(s is not None for s in specs):
                         mem_candidates.append((sum(specs), order, stmt))
                 elif isinstance(stmt, LayoutStmt):
                     specs = (_match_name(stmt.task_pattern, task.name),
                              _match_region(stmt.region_pattern, arg.region, arg_index),
-                             _match_proc(stmt.proc_pattern, chosen))
+                             _match_name(stmt.proc_pattern, chosen))
                     if all(s is not None for s in specs):
                         lay_candidates.append((sum(specs), order, stmt))
             mem_winner = _best(mem_candidates)

@@ -36,9 +36,11 @@ class _CliFailure(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise _CliFailure(EXIT_USER, f"invalid mapper {path}: {exc}")
 
 
 def _report(diagnostics, path: str) -> int:
@@ -58,9 +60,14 @@ def _load(loader, path: str, what: str):
 
 
 def _rules_for(args):
-    if getattr(args, "rules", None):
+    if not getattr(args, "rules", None):
+        return default_rules()
+    try:
         return load_rules(args.rules)
-    return default_rules()
+    except OSError as exc:
+        raise _CliFailure(EXIT_IO, f"cannot read {args.rules}: {exc.strerror}")
+    except ValueError as exc:
+        raise _CliFailure(EXIT_USER, f"invalid rules {args.rules}: {exc}")
 
 
 # --------------------------------------------------------------------------

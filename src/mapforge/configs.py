@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Union
 
 import yaml
 
-from .ast import MEM_ALIASES, MEM_KINDS, PROC_KINDS, Diagnostic
+from .ast import IDENT, MEM_ALIASES, MEM_KINDS, PROC_KINDS, Diagnostic
 from .machine import MachineModel
 
 LAYOUT_SOA = ("SOA", "AOS", "any")
@@ -130,6 +130,11 @@ class _SchemaError(Exception):
         super().__init__(f"{path}: {message}" if path else message)
 
 
+# What a loader turns into a diagnostic: a file that cannot be read, is
+# not UTF-8 or YAML, or does not fit the schema.
+_LOAD_ERRORS = (_SchemaError, yaml.YAMLError, OSError, UnicodeDecodeError)
+
+
 def _diag(exc: Exception) -> list[Diagnostic]:
     return [Diagnostic("error", 1, 1, str(exc))]
 
@@ -156,7 +161,7 @@ def _as_str(value, path: str, choices: tuple[str, ...] | None = None) -> str:
     return value
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT = re.compile(IDENT + r"\Z")
 
 
 def _as_name(value, path: str) -> str:
@@ -206,7 +211,7 @@ def _proc_kind(value, path: str) -> str:
 
 
 def _load_yaml(path: Union[str, Path]) -> dict:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     data = yaml.safe_load(text)
     if data is None:
         data = {}
@@ -359,7 +364,7 @@ def load_app(path: Union[str, Path]) -> ApplicationDescriptor | list[Diagnostic]
         return ApplicationDescriptor(name, metric, iterations,
                                      tuple(regions.values()), tuple(tasks.values()),
                                      exchanges)
-    except (_SchemaError, yaml.YAMLError, OSError) as exc:
+    except _LOAD_ERRORS as exc:
         return _diag(exc)
 
 
@@ -443,7 +448,7 @@ def load_machine(path: Union[str, Path]) -> MachineModel | list[Diagnostic]:
         table.update(_parse_bandwidth_entries(data.get("bandwidth", []), "bandwidth"))
         return MachineModel(name, nodes, proc_counts, mem_capacity, table,
                             latency, rate, concurrency)
-    except (_SchemaError, yaml.YAMLError, OSError) as exc:
+    except _LOAD_ERRORS as exc:
         return _diag(exc)
 
 
@@ -473,5 +478,5 @@ def load_costs(path: Union[str, Path]) -> CostParams | list[Diagnostic]:
         bandwidth = _parse_bandwidth_entries(data.get("bandwidth", []), "bandwidth")
         return CostParams(compute_rate=rate, latency=latency, bandwidth=bandwidth,
                           **penalties)
-    except (_SchemaError, yaml.YAMLError, OSError) as exc:
+    except _LOAD_ERRORS as exc:
         return _diag(exc)

@@ -28,7 +28,9 @@ something other than an integer (a space-method argument, or the kind
 or length of a ternary's two results), the batch is split by value and
 each part is evaluated on its own.  An error is the one a per-point
 loop would report: that of the first failing point in row-major order,
-at the first failing step of that point.
+at the first failing step of that point.  An arithmetic result of
+magnitude ``INT_LIMIT`` (2**4096) or more is the error "integer
+overflow".
 
 Evaluation is pure: identical (function, task, environment) inputs
 always produce the identical processor index.
@@ -123,6 +125,10 @@ def build_env(program: MapperProgram, machine: MachineModel) -> EvalEnv:
 
 INT64_MAX = 2 ** 63 - 1
 
+# An arithmetic result of at least this magnitude is an error, so that
+# repeated squaring cannot run for ever and every integer formats as text.
+INT_LIMIT = 2 ** 4096
+
 
 def idiv(a, b):
     if isinstance(b, int):
@@ -177,20 +183,34 @@ def _exact(value):
     return value
 
 
+def _bounded(value):
+    """``value``, or an EvalError at its first entry of magnitude INT_LIMIT."""
+    if isinstance(value, int):
+        if -INT_LIMIT < value < INT_LIMIT:
+            return value
+        raise EvalError("integer overflow")
+    over = np.abs(value) >= INT_LIMIT
+    if over.any():
+        raise EvalError("integer overflow", int(np.argmax(over)))
+    return value
+
+
 def _int_op(op: str, a, b):
     if isinstance(a, int) and isinstance(b, int):
         if op in _COMPARE:
             return int(_COMPARE[op](a, b))
-        return _ARITH[op](a, b)
+        return _bounded(_ARITH[op](a, b))
     # Bound the operands and every result by the operands' magnitudes;
     # past int64, compute with Python ints.
     ma, mb = _magnitude(a), _magnitude(b)
     bound = ma * mb if op == "*" else ma + mb if op in "+-" else 0
-    if max(bound, ma, mb) > INT64_MAX:
+    wide = max(bound, ma, mb) > INT64_MAX
+    if wide:
         a, b = _exact(a), _exact(b)
     if op in _COMPARE:
         return np.asarray(_COMPARE[op](a, b)).astype(np.int64)
-    return _ARITH[op](a, b)
+    result = _ARITH[op](a, b)
+    return _bounded(result) if wide else result
 
 
 def _binary(op: str, lhs: Value, rhs: Value) -> Value:

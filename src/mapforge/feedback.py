@@ -91,16 +91,24 @@ def render(report: FeedbackReport) -> str:
 
 
 def load_rules(path: Union[str, Path]) -> list[EnhancerRule]:
-    data = yaml.safe_load(Path(path).read_text())
+    """The rules in a YAML file.
+
+    Raises OSError when the file cannot be read, and ValueError when it
+    is not UTF-8, not YAML, or not a list of rules.
+    """
+    try:
+        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise ValueError(str(exc)) from exc
     if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a list of rules")
+        raise ValueError("expected a list of rules")
     rules = []
     for i, entry in enumerate(data):
         if not isinstance(entry, dict) or not entry.get("keyword"):
-            raise ValueError(f"{path}: rule {i} needs a nonempty keyword")
+            raise ValueError(f"rule {i} needs a nonempty keyword")
         unknown = set(entry) - {"keyword", "explain", "suggest"}
         if unknown:
-            raise ValueError(f"{path}: rule {i} has unknown fields {sorted(unknown)}")
+            raise ValueError(f"rule {i} has unknown fields {sorted(unknown)}")
         rules.append(EnhancerRule(entry["keyword"], entry.get("explain"),
                                   entry.get("suggest")))
     return rules

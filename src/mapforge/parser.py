@@ -35,10 +35,13 @@ Surface grammar (EBNF):
                | name [ "(" exprlist ")" ]
     subargs    = [ "*" ] expr { "," [ "*" ] expr }
 
-``#`` starts a line comment.  Common misspellings of SYSMEM (SYMEM,
-SYSEM, SYSTEM, SYSTEMEM) are accepted and canonicalized.  Parenthesized
-expressions are folded away at parse time; ``(e1, e2, ...)`` with at
-least one comma is a tuple literal.
+A name is ASCII: a letter or ``_``, then letters, digits and ``_``
+(``ast.IDENT``).  An INT is a run of ASCII digits ``0-9``, at most
+``MAX_DIGITS`` long.  Any other character outside a comment is a syntax
+error.  ``#`` starts a line comment.  Common misspellings of SYSMEM
+(SYMEM, SYSEM, SYSTEM, SYSTEMEM) are accepted and canonicalized.
+Parenthesized expressions are folded away at parse time; ``(e1, e2,
+...)`` with at least one comma is a tuple literal.
 
 ``parse`` returns a :class:`MapperProgram`, or a list of
 :class:`Diagnostic` on failure.  Every syntax diagnostic message begins
@@ -52,23 +55,16 @@ can exhaust the Python stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .ast import (
-    ALIGN_OPS, MEM_ALIASES, MEM_KINDS, PROC_KINDS, WILDCARD,
+    ALIGN_OPS, IDENT, MEM_ALIASES, MEM_KINDS, PROC_KINDS, WILDCARD,
     Align, AssignStmt, Attr, BinOp, Call, CollectStmt, Diagnostic, Expr,
     FuncDef, IndexTaskMapStmt, InstanceLimitStmt, IntLit, LayoutStmt,
     LocalAssign, MachineExpr, MapperProgram, MethodCall, Name, Param,
     Pattern, RegionStmt, ReturnStmt, SingleTaskMapStmt, Splat, Statement,
     Subscript, TaskStmt, Ternary, TupleLit,
-)
-
-# Tokens are (type, text, line, col); type is "IDENT", "INT", "EOF", or
-# the literal symbol text.
-SYMBOLS = (
-    "==", "!=", "<=", ">=",
-    ";", ",", "(", ")", "{", "}", "[", "]",
-    ".", "?", ":", "=", "<", ">", "+", "-", "*", "/", "%",
 )
 
 PARAM_KINDS = ("Task", "Tuple", "int")
@@ -77,9 +73,21 @@ LAYOUT_KEYWORDS = ("SOA", "AOS", "C_order", "F_order", "No_Align")
 
 MAX_NESTING = 100
 
+# Longer integer literals are a syntax error: every literal stays far
+# below the interpreter's integer bound and formats as text.
+MAX_DIGITS = 1000
 
-@dataclass(frozen=True)
-class Token:
+_COMPARE_OPS = ("==", "!=", "<", ">", "<=", ">=")
+
+# Whitespace and comments match no named group, so ``lastgroup`` is None.
+_TOKEN = re.compile(
+    rf"[ \t\r]+|#[^\n]*|(?P<newline>\n)|(?P<IDENT>{IDENT})|(?P<INT>[0-9]+)"
+    r"|(?P<symbol>==|!=|<=|>=|[;,(){}\[\].?:=<>+\-*/%])|(?P<bad>.)")
+
+
+class Token(NamedTuple):
+    """``type`` is "IDENT", "INT", "EOF", or the symbol's own text."""
+
     type: str
     text: str
     line: int
@@ -100,52 +108,23 @@ class _SyntaxFailure(Exception):
 def tokenize(source: str) -> list[Token]:
     """Tokenize DSL source; raises _SyntaxFailure on an illegal character."""
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
             continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start, start_col = i, col
-            while i < n and source[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(Token("INT", source[start:i], line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start, start_col = i, col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(Token("IDENT", source[start:i], line, start_col))
-            continue
-        two = source[i:i + 2]
-        if two in ("==", "!=", "<=", ">="):
-            tokens.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in ";,(){}[].?:=<>+-*/%":
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise _SyntaxFailure(line, col, f"Syntax error, unexpected character {ch!r}")
-    tokens.append(Token("EOF", "", line, col))
+        text = match.group()
+        col = match.start() - line_start + 1
+        if kind == "bad":
+            raise _SyntaxFailure(line, col, f"Syntax error, unexpected character {text!r}")
+        if kind == "INT" and len(text) > MAX_DIGITS:
+            raise _SyntaxFailure(
+                line, col, f"Syntax error, integer literal longer than {MAX_DIGITS} digits")
+        tokens.append(Token(text if kind == "symbol" else kind, text, line, col))
+    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -158,7 +137,8 @@ class _Parser:
     # -- token access --------------------------------------------------
 
     def _peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # Callers look ahead only from an IDENT, so EOF is still in range.
+        return self.tokens[self.pos + ahead]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -178,13 +158,20 @@ class _Parser:
             raise self._fail(tok, expecting or token_type)
         return self._advance()
 
-    def _expect_ident(self, expecting: str = "identifier") -> Token:
-        return self._expect("IDENT", expecting)
+    def _ident(self, expecting: str = "identifier") -> str:
+        return self._expect("IDENT", expecting).text
 
     def _match(self, token_type: str) -> Token | None:
         if self._peek().type == token_type:
             return self._advance()
         return None
+
+    def _comma_list(self, item, *args) -> tuple:
+        """``item {"," item}``: one or more items, each parsed by ``item(*args)``."""
+        items = [item(*args)]
+        while self._match(","):
+            items.append(item(*args))
+        return tuple(items)
 
     def _too_deep(self) -> _SyntaxFailure:
         tok = self._peek()
@@ -202,97 +189,72 @@ class _Parser:
 
     def _statement(self) -> Statement:
         tok = self._peek()
-        if tok.type != "IDENT":
-            raise self._fail(tok, "a statement")
-        word = tok.text
-        if word == "Task":
-            return self._task_stmt()
-        if word == "Region":
-            return self._region_stmt()
-        if word == "Layout":
-            return self._layout_stmt()
-        if word == "IndexTaskMap":
-            return self._taskmap_stmt(IndexTaskMapStmt)
-        if word == "SingleTaskMap":
-            return self._taskmap_stmt(SingleTaskMapStmt)
-        if word in ("InstanceLimit", "Instancelimit"):
-            return self._limit_stmt()
-        if word in ("CollectMemory", "GarbageCollect"):
-            return self._collect_stmt()
-        if word == "def":
-            return self._func_def()
-        if self._peek(1).type == "=":
-            return self._binding()
+        if tok.type == "IDENT":
+            rule = _STATEMENT_RULES.get(tok.text)
+            if rule is not None:
+                return rule(self)
+            if self._peek(1).type == "=":
+                return self._assignment(AssignStmt)
         raise self._fail(tok, "a statement")
 
     def _task_stmt(self) -> TaskStmt:
         kw = self._advance()
         pattern = self._pattern()
-        procs = [self._proc_kind()]
-        while self._match(","):
-            procs.append(self._proc_kind())
+        procs = self._comma_list(self._proc_kind)
         self._expect(";")
-        return TaskStmt(pattern, tuple(procs), pos=(kw.line, kw.col))
+        return TaskStmt(pattern, procs, pos=(kw.line, kw.col))
 
     def _region_stmt(self) -> RegionStmt:
         kw = self._advance()
-        task = self._pattern()
-        region = self._region_pattern()
-        proc = self._proc_pattern()
-        mems = [self._mem_kind()]
-        while self._match(","):
-            mems.append(self._mem_kind())
+        task, region, proc = self._pattern(), self._region_pattern(), self._proc_pattern()
+        mems = self._comma_list(self._mem_kind)
         self._expect(";")
-        return RegionStmt(task, region, proc, tuple(mems), pos=(kw.line, kw.col))
+        return RegionStmt(task, region, proc, mems, pos=(kw.line, kw.col))
 
     def _layout_stmt(self) -> LayoutStmt:
         kw = self._advance()
-        task = self._pattern()
-        region = self._region_pattern()
-        proc = self._proc_pattern()
+        task, region, proc = self._pattern(), self._region_pattern(), self._proc_pattern()
         constraints = [self._constraint()]
         while self._peek().type != ";":
             constraints.append(self._constraint())
         self._expect(";")
         return LayoutStmt(task, region, proc, tuple(constraints), pos=(kw.line, kw.col))
 
-    def _taskmap_stmt(self, cls) -> Statement:
+    def _taskmap_stmt(self) -> Statement:
         kw = self._advance()
-        names = [self._expect_ident("task name").text]
-        while self._match(","):
-            names.append(self._expect_ident("task name").text)
-        func = self._expect_ident("function name").text
+        names = self._comma_list(self._ident, "task name")
+        func = self._ident("function name")
         self._expect(";")
-        return cls(tuple(names), func, pos=(kw.line, kw.col))
+        cls = IndexTaskMapStmt if kw.text == "IndexTaskMap" else SingleTaskMapStmt
+        return cls(names, func, pos=(kw.line, kw.col))
 
     def _limit_stmt(self) -> InstanceLimitStmt:
         kw = self._advance()
-        task = self._expect_ident("task name").text
+        task = self._ident("task name")
         limit = self._expect("INT", "instance limit")
         self._expect(";")
         return InstanceLimitStmt(task, int(limit.text), pos=(kw.line, kw.col))
 
     def _collect_stmt(self) -> CollectStmt:
         kw = self._advance()
-        task = self._expect_ident("task name").text
+        task = self._ident("task name")
         region = self._region_pattern()
         self._expect(";")
         return CollectStmt(task, region, pos=(kw.line, kw.col))
 
-    def _binding(self) -> AssignStmt:
+    def _assignment(self, cls):
+        """``name "=" expr ";"`` as a top-level or a function-local binding."""
         name = self._advance()
         self._expect("=")
         expr = self._expr()
         self._expect(";")
-        return AssignStmt(name.text, expr, pos=(name.line, name.col))
+        return cls(name.text, expr, pos=(name.line, name.col))
 
     def _func_def(self) -> FuncDef:
         kw = self._advance()
-        name = self._expect_ident("function name").text
+        name = self._ident("function name")
         self._expect("(")
-        params = [self._param()]
-        while self._match(","):
-            params.append(self._param())
+        params = self._comma_list(self._param)
         self._expect(")")
         self._expect("{")
         body: list = []
@@ -301,15 +263,14 @@ class _Parser:
                 raise self._fail(self._peek(), "}")
             body.append(self._func_stmt())
         self._expect("}")
-        return FuncDef(name, tuple(params), tuple(body), pos=(kw.line, kw.col))
+        return FuncDef(name, params, tuple(body), pos=(kw.line, kw.col))
 
     def _param(self) -> Param:
         tok = self._peek()
         if tok.type != "IDENT" or tok.text not in PARAM_KINDS:
             raise self._fail(tok, "Task, Tuple, or int")
         self._advance()
-        name = self._expect_ident("parameter name").text
-        return Param(tok.text, name)
+        return Param(tok.text, self._ident("parameter name"))
 
     def _func_stmt(self):
         tok = self._peek()
@@ -319,11 +280,7 @@ class _Parser:
             self._expect(";")
             return ReturnStmt(expr, pos=(tok.line, tok.col))
         if tok.type == "IDENT" and self._peek(1).type == "=":
-            self._advance()
-            self._expect("=")
-            expr = self._expr()
-            self._expect(";")
-            return LocalAssign(tok.text, expr, pos=(tok.line, tok.col))
+            return self._assignment(LocalAssign)
         raise self._fail(tok, "an assignment or return")
 
     # -- patterns and kind names ----------------------------------------
@@ -355,8 +312,7 @@ class _Parser:
         raise self._fail(tok, "a processor kind (CPU, GPU, or OMP)")
 
     def _proc_pattern(self) -> str:
-        if self._peek().type == "*":
-            self._advance()
+        if self._match("*"):
             return WILDCARD
         return self._proc_kind()
 
@@ -389,7 +345,11 @@ class _Parser:
 
     # ``depth`` counts the expression levels open at the current token.
     # It is checked wherever parsing recurses and at the end of each
-    # left-nested chain; chains restore it once built.
+    # left-nested chain; chains restore it once built.  A nesting level
+    # costs at most five Python frames: _expr, _ternary, _arith, _postfix
+    # and one of _primary, _comma_list or _subscript_arg.  So the
+    # argument lists of _primary and _postfix's subscripts stay inline
+    # loops: a _comma_list frame there would make a sixth.
 
     def _expr(self) -> Expr:
         self.depth += 1
@@ -400,7 +360,10 @@ class _Parser:
         return expr
 
     def _ternary(self) -> Expr:
-        cond = self._compare()
+        cond = self._arith()
+        if self._peek().type in _COMPARE_OPS:
+            op = self._advance().type
+            cond = BinOp(op, cond, self._arith())
         if self._peek().type == "?":
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -413,40 +376,30 @@ class _Parser:
             return Ternary(cond, then, other)
         return cond
 
-    def _compare(self) -> Expr:
-        lhs = self._additive()
-        tok = self._peek()
-        if tok.type in ("==", "!=", "<", ">", "<=", ">="):
-            self._advance()
-            rhs = self._additive()
-            return BinOp(tok.type, lhs, rhs)
-        return lhs
-
     def _end_chain(self, depth: int) -> None:
         if self.depth > MAX_NESTING:
             raise self._too_deep()
         self.depth = depth
 
-    def _additive(self) -> Expr:
-        depth = self.depth
-        expr = self._multiplicative()
-        while self._peek().type in ("+", "-"):
+    def _arith(self) -> Expr:
+        """A ``+ -`` chain of ``* / %`` chains of postfix operands."""
+        outer = self.depth
+        expr, op = None, None
+        while True:
+            inner = self.depth
+            term = self._postfix()
+            while self._peek().type in ("*", "/", "%"):
+                self.depth += 1
+                term = BinOp(self._advance().type, term, self._postfix())
+            if self.depth != inner:
+                self._end_chain(inner)
+            expr = term if op is None else BinOp(op, expr, term)
+            if self._peek().type not in ("+", "-"):
+                break
             self.depth += 1
             op = self._advance().type
-            expr = BinOp(op, expr, self._multiplicative())
-        if self.depth != depth:
-            self._end_chain(depth)
-        return expr
-
-    def _multiplicative(self) -> Expr:
-        depth = self.depth
-        expr = self._postfix()
-        while self._peek().type in ("*", "/", "%"):
-            self.depth += 1
-            op = self._advance().type
-            expr = BinOp(op, expr, self._postfix())
-        if self.depth != depth:
-            self._end_chain(depth)
+        if self.depth != outer:
+            self._end_chain(outer)
         return expr
 
     def _postfix(self) -> Expr:
@@ -455,9 +408,9 @@ class _Parser:
         while True:
             if self._match("."):
                 self.depth += 1
-                name = self._expect_ident("attribute name").text
+                name = self._ident("attribute name")
                 if self._match("("):
-                    args = self._expr_list()
+                    args = self._comma_list(self._expr)
                     self._expect(")")
                     expr = MethodCall(expr, name, args)
                 else:
@@ -466,59 +419,59 @@ class _Parser:
                 self.depth += 1
                 if self.depth > MAX_NESTING:  # a splat recurses here
                     raise self._too_deep()
-                indices = self._subscript_args()
+                indices = [self._subscript_arg()]
+                while self._match(","):
+                    indices.append(self._subscript_arg())
                 self._expect("]")
-                expr = Subscript(expr, indices)
+                expr = Subscript(expr, tuple(indices))
             else:
                 if self.depth != depth:
                     self._end_chain(depth)
                 return expr
 
-    def _primary(self) -> Expr:
-        tok = self._peek()
-        if tok.type == "INT":
-            self._advance()
-            return IntLit(int(tok.text))
-        if tok.type == "(":
-            self._advance()
-            items = [self._expr()]
-            while self._match(","):
-                items.append(self._expr())
-            self._expect(")")
-            if len(items) == 1:
-                return items[0]  # grouping parentheses fold away
-            return TupleLit(tuple(items))
-        if tok.type == "IDENT":
-            if tok.text == "Machine" and self._peek(1).type == "(":
-                self._advance()
-                self._advance()
-                kind = self._proc_kind()
-                self._expect(")")
-                return MachineExpr(kind)
-            self._advance()
-            if self._match("("):
-                args = self._expr_list()
-                self._expect(")")
-                return Call(tok.text, args, pos=(tok.line, tok.col))
-            return Name(tok.text, pos=(tok.line, tok.col))
-        raise self._fail(tok, "an expression")
-
-    def _expr_list(self) -> tuple[Expr, ...]:
-        args = [self._expr()]
-        while self._match(","):
-            args.append(self._expr())
-        return tuple(args)
-
-    def _subscript_args(self) -> tuple[Expr, ...]:
-        args = [self._subscript_arg()]
-        while self._match(","):
-            args.append(self._subscript_arg())
-        return tuple(args)
-
     def _subscript_arg(self) -> Expr:
         if self._match("*"):
             return Splat(self._postfix())
         return self._expr()
+
+    def _primary(self) -> Expr:
+        tok = self._advance()
+        if tok.type == "INT":
+            return IntLit(int(tok.text))
+        if tok.type == "IDENT":
+            if tok.text == "Machine" and self._peek().type == "(":
+                self._advance()
+                kind = self._proc_kind()
+                self._expect(")")
+                return MachineExpr(kind)
+            if not self._match("("):
+                return Name(tok.text, pos=(tok.line, tok.col))
+        elif tok.type != "(":
+            raise self._fail(tok, "an expression")
+        # Call arguments, or a parenthesized expression or tuple.
+        items = [self._expr()]
+        while self._match(","):
+            items.append(self._expr())
+        self._expect(")")
+        if tok.type == "IDENT":
+            return Call(tok.text, tuple(items), pos=(tok.line, tok.col))
+        if len(items) == 1:
+            return items[0]  # grouping parentheses fold away
+        return TupleLit(tuple(items))
+
+
+_STATEMENT_RULES = {
+    "Task": _Parser._task_stmt,
+    "Region": _Parser._region_stmt,
+    "Layout": _Parser._layout_stmt,
+    "IndexTaskMap": _Parser._taskmap_stmt,
+    "SingleTaskMap": _Parser._taskmap_stmt,
+    "InstanceLimit": _Parser._limit_stmt,
+    "Instancelimit": _Parser._limit_stmt,
+    "CollectMemory": _Parser._collect_stmt,
+    "GarbageCollect": _Parser._collect_stmt,
+    "def": _Parser._func_def,
+}
 
 
 def parse(source: str) -> MapperProgram | list[Diagnostic]:

@@ -28,7 +28,7 @@ _PRECEDENCE = {
 }
 
 
-def print_expr(expr: Expr, parent_prec: int = _TERNARY, right: bool = False) -> str:
+def print_expr(expr: Expr, parent_prec: int = _TERNARY) -> str:
     if isinstance(expr, Name):
         return expr.ident
     if isinstance(expr, IntLit):
@@ -56,7 +56,7 @@ def print_expr(expr: Expr, parent_prec: int = _TERNARY, right: bool = False) -> 
         lhs = print_expr(expr.lhs, prec + 1 if prec == _COMPARE else prec)
         rhs = print_expr(expr.rhs, prec + 1)
         text = f"{lhs} {expr.op} {rhs}"
-        if prec < parent_prec or (prec == parent_prec and right):
+        if prec < parent_prec:
             return f"({text})"
         return text
     if isinstance(expr, Ternary):

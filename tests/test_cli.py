@@ -50,6 +50,15 @@ def test_check_missing_file_is_io_error(capsys):
     assert code == 2
 
 
+def test_check_non_utf8_mapper_is_a_user_error(capsys, tmp_path):
+    bad = tmp_path / "bin.dsl"
+    bad.write_bytes(b"Task * GPU;\n\xff\xfe\n")
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert code == 1
+    assert err.startswith(f"error: invalid mapper {bad}: ")
+    assert err.count("\n") == 1
+
+
 # -- simulate ----------------------------------------------------------------
 
 
@@ -170,6 +179,36 @@ def test_space_invalid_descriptor(capsys, tmp_path):
     code, out, err = run_cli(capsys, "space", "--app", str(bad))
     assert code == 1
     assert "missing required field: name" in err
+
+
+@pytest.mark.parametrize("flag", ["--app", "--machine", "--costs"])
+def test_non_utf8_descriptor_is_a_loader_diagnostic(capsys, tmp_path, flag):
+    bad = tmp_path / "bin.yaml"
+    bad.write_bytes(b"name: x\n\xff\n")
+    paths = {"--app": APP, "--machine": MACHINE, "--costs": COSTS, flag: str(bad)}
+    argv = [item for pair in paths.items() for item in pair]
+    code, out, err = run_cli(capsys, "simulate", "--mapper", EXPERT, *argv)
+    assert code == 1
+    assert err.startswith("error: invalid ") and f" {bad}: " in err
+
+
+@pytest.mark.parametrize("content, code, message", [
+    (None, 2, "cannot read"),
+    (b"- keyword: [\n", 1, "invalid rules"),
+    (b"- explain: no keyword\n", 1, "invalid rules"),
+    (b"\xff\xfe\n", 1, "invalid rules"),
+], ids=["missing", "not_yaml", "no_keyword", "not_utf8"])
+def test_bad_rules_file_is_an_error(capsys, tmp_path, content, code, message):
+    rules = tmp_path / "rules.yaml"
+    if content is not None:
+        rules.write_bytes(content)
+    for argv in (["simulate", "--mapper", EXPERT],
+                 ["optimize", "--iters", "1", "--seeds", "1",
+                  "--out", str(tmp_path / "t.csv")]):
+        got, out, err = run_cli(capsys, *argv, "--app", APP, "--machine", MACHINE,
+                                "--rules", str(rules))
+        assert got == code
+        assert err.startswith(f"error: {message} {rules}: ")
 
 
 # -- optimize -----------------------------------------------------------------

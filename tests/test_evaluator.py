@@ -5,9 +5,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mapforge.evaluator import (
-    EvalEnv, EvalError, TaskHandle, build_env, builtin_library,
-    builtin_program, call_function, corpus_path, eval_expr, eval_mapping,
-    idiv, imod,
+    INT_LIMIT, EvalEnv, EvalError, TaskHandle, build_env, builtin_library,
+    builtin_program, call_function, corpus_path, eval_expr, eval_launch,
+    eval_mapping, idiv, imod,
 )
 from mapforge.machine import ProcIndex, default_machine
 from mapforge.parser import parse_valid
@@ -88,6 +88,25 @@ def test_space_subscript_arity_checked():
 def test_tuple_index_bounds():
     with pytest.raises(EvalError, match="out of range"):
         ev("t[5]", bindings={"t": (1, 2)})
+
+
+def test_results_past_the_integer_limit_are_errors():
+    half = {"a": 2 ** 2048}
+    assert ev("a * (a - 1)", bindings=half) == INT_LIMIT - 2 ** 2048
+    for source in ("a * a", "0 - a * (a - 1) - a"):
+        with pytest.raises(EvalError, match="integer overflow"):
+            ev(source, bindings=half)
+
+
+def test_integer_overflow_is_reported_at_the_first_point():
+    big = "9" * 1000
+    program = parse_valid(
+        f"m = Machine(GPU);\ndef f(Task t) {{ x = (t.ipoint[0] > 2 ? {big} : 1) * {big}; "
+        "return m[0, 0]; }")
+    procs, error = eval_launch(program.functions["f"], "t", (8,),
+                               build_env(program, default_machine(2, 2)))
+    assert procs.tolist() == [[0, 0]] * 3
+    assert str(error) == "integer overflow"
 
 
 @given(st.integers(-100, 100), st.integers(-100, 100).filter(bool))

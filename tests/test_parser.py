@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from mapforge.ast import (
@@ -118,6 +120,30 @@ def test_ternary_parses():
 # -- diagnostics -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("source, col", [("x = \u00b2;", 5), ("\u00e9 = 1;", 1),
+                                         ("x = \u0661\u0662;", 5)])
+def test_non_ascii_characters_are_unexpected(source, col):
+    diag = first_diag(source)
+    assert diag.message == f"Syntax error, unexpected character {source[col - 1]!r}"
+    assert (diag.line, diag.col) == (1, col)
+
+
+def test_overlong_integer_literal_is_a_syntax_error():
+    from mapforge.parser import MAX_DIGITS
+
+    ok("x = " + "9" * MAX_DIGITS + ";")
+    diag = first_diag("x = 1;\ny = " + "9" * (MAX_DIGITS + 1) + ";")
+    assert diag.message == (
+        f"Syntax error, integer literal longer than {MAX_DIGITS} digits")
+    assert (diag.line, diag.col) == (2, 5)
+
+
+def test_end_of_input_after_a_comment_is_past_the_comment():
+    diag = first_diag("x = 1 # no semicolon")
+    assert diag.message == "Syntax error, unexpected end of input, expecting ;"
+    assert (diag.line, diag.col) == (1, 21)
+
+
 def test_colon_function_body_message():
     diag = first_diag("def cyclic(Task task): ip = task.ipoint;")
     assert "Syntax error, unexpected :, expecting {" in diag.message
@@ -202,6 +228,21 @@ def test_nesting_up_to_the_limit_parses():
     # The binding's expression is one level; each parenthesis adds one.
     ok(nested_parens(MAX_NESTING - 1))
     ok("x = 1" + " + 1" * (MAX_NESTING - 1) + ";")
+
+
+def test_nesting_at_the_limit_fits_in_600_frames():
+    from mapforge.parser import MAX_NESTING
+
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 600)
+    try:
+        result = parse(nested_parens(MAX_NESTING - 1))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not isinstance(result, list)
 
 
 @pytest.mark.parametrize("depth", [141, 3000])

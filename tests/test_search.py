@@ -1,9 +1,13 @@
+import functools
 import itertools
 import math
+import re
 import sys
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 from scipy import stats
 
 from mapforge import search
@@ -17,7 +21,7 @@ from mapforge.search import (
 )
 from mapforge.simulator import simulate
 
-from conftest import expert_source, load_app_named
+from conftest import APP_NAMES, corpus_dsl_files, expert_source, load_app_named
 from mapforge.parser import parse, parse_valid
 from mapforge.binder import resolve
 from mapforge.validator import MAX_CALL_DEPTH
@@ -387,6 +391,77 @@ def test_staggered_failures_are_an_execution_error(machine, costs):
                                build_env(program, machine))
     assert procs.tolist() == [[0, 0]] * 100
     assert str(error) == "tuple index 2 out of range for length 2"
+
+
+# -- totality on edited corpus text ---------------------------------------------
+
+# What an edit puts in: symbols, words, non-ASCII letters and digits, long
+# literals and deep parentheses; None copies another token of the text.
+EDIT_PIECES = tuple(";,(){}[].?:=<>+-*/%#") + (
+    "==", "!=", "<=", ">=", "\n", "", None, "0", "1", "7", "x", "CPU", "GPU",
+    "ZCMEM", "def", "\u00b2", "\u00e9", "\u0661\u0662", "9" * 999, "9" * 5000,
+    "(" * 150, ")" * 150)
+
+
+@functools.cache
+def app_for(path):
+    name = path.stem.split("_")[0]
+    return load_app_named(name if name in APP_NAMES else "circuit")
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(corpus_dsl_files()),
+       edits=st.lists(st.tuples(st.sampled_from(("char", "token", "number")),
+                                st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                                st.sampled_from(EDIT_PIECES)),
+                      min_size=1, max_size=4))
+def test_evaluation_is_total_on_edited_corpus(path, edits, machine, costs):
+    text = path.read_text()
+    for kind, at, other, piece in edits:
+        spans = [m.span() for m in re.finditer(r"\w+|\S", text)] or [(0, 0)]
+        numbers = [m.span() for m in re.finditer(r"\b[0-9]+\b", text)] or spans
+        if kind == "char":
+            start = at % (len(text) + 1)
+            end = start + other % 3
+        else:
+            chosen = spans if kind == "token" else numbers
+            start, end = chosen[at % len(chosen)]
+        if piece is None:
+            a, b = spans[other % len(spans)]
+            piece = text[a:b]
+        text = text[:start] + piece + text[end:]
+    begin = time.perf_counter()
+    result, report = evaluate_program(text, app_for(path), machine, costs)
+    assert time.perf_counter() - begin < 5.0
+    assert isinstance(report, FeedbackReport)
+
+
+# -- huge integers --------------------------------------------------------------
+
+
+def squaring_program(times):
+    body = " ".join(f"x{k} = x{k - 1} * x{k - 1};" for k in range(1, times + 1))
+    return (DEEP_HEAD + f"def f(Task t) {{ x0 = 12345678901234567890; {body} "
+            f"return m[x{times} % 2, 0]; }}\nIndexTaskMap calculate_new_currents f;\n")
+
+
+def huge_index_program():
+    # Five 999-digit factors: the index would have about 5000 digits.
+    product = " * ".join(["9" * 999] * 5)
+    return (DEEP_HEAD + f"def f(Task t) {{ y = {product}; "
+            "return m[(0, 1)[y], 0]; }\nIndexTaskMap calculate_new_currents f;\n")
+
+
+@pytest.mark.parametrize("text", [squaring_program(40), huge_index_program()],
+                         ids=["squaring", "huge_index"])
+def test_integer_overflow_is_an_execution_error(text, machine, costs):
+    app = load_app_named("circuit")
+    start = time.perf_counter()
+    result, report = evaluate_program(text, app, machine, costs)
+    assert time.perf_counter() - start < 1.0
+    assert result is None
+    assert report.kind == "ExecutionError"
+    assert report.system_message == "integer overflow"
 
 
 # -- deep call chains -----------------------------------------------------------
