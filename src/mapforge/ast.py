@@ -24,6 +24,10 @@ MEM_ALIASES = {
 
 ALIGN_OPS = ("==", "<=", ">=")
 
+# The comparison operators: non-associative, binding looser than
+# arithmetic, and yielding 0 or 1.
+COMPARE_OPS = ("==", "!=", "<", ">", "<=", ">=")
+
 # A DSL identifier, ASCII only.  The tokenizer and the descriptor loaders
 # both use it: task and region names in descriptors appear in mappers.
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -238,6 +242,16 @@ class FuncDef:
     params: tuple[Param, ...]
     body: tuple[FuncStmt, ...]
     pos: Optional[tuple[int, int]] = field(default=None, compare=False)
+
+
+def entry_signature_error(func: FuncDef) -> Optional[str]:
+    """Why ``func`` cannot be an IndexTaskMap/SingleTaskMap entry point,
+    or None when it can: it takes one Task, or the (Tuple ipoint, Tuple
+    ispace) pair."""
+    if [p.kind for p in func.params] in (["Task"], ["Tuple", "Tuple"]):
+        return None
+    return (f"function {func.name} must take (Task task) or "
+            f"(Tuple ipoint, Tuple ispace) parameters")
 
 
 Statement = Union[

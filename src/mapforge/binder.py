@@ -7,11 +7,13 @@ processor per task, ordered memory preferences and layout per (task,
 region argument), and index/single-task mapping functions, plus
 instance limits and collect flags.
 
-Statement precedence: the most specific matching statement wins (an
-exact name beats ``*`` in each pattern slot, more exact slots beat
-fewer), and among equally specific statements the last one in program
-order wins.  Statements naming tasks or regions the application does
-not have are inert.
+Statement precedence is one rule, ``_winner``: the most specific
+matching statement wins (an exact name beats ``*`` in each pattern
+slot, more exact slots beat fewer), and among equally specific
+statements the last one in program order wins.  For IndexTaskMap,
+SingleTaskMap and InstanceLimit the last statement naming the task
+wins.  Statements naming tasks or regions the application does not have
+are inert.  docs/file_formats.md states the rule for mapper authors.
 
 A table can also be flattened into a decision vector over enumerable
 dimensions (the search coordinate system) and re-rendered into a DSL
@@ -21,7 +23,7 @@ program with ``emit``; ``resolve(emit(table))`` reproduces the table.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,24 +68,37 @@ class MappingDecisionTable:
 # --------------------------------------------------------------------------
 
 
-def _match_name(pattern: str, name: str) -> Optional[int]:
-    """Specificity of a task or processor match: 1 exact, 0 wildcard, None miss."""
+def _match(pattern, *names) -> Optional[int]:
+    """Specificity of one pattern slot: 0 for the wildcard, 1 for an exact
+    match of one of ``names`` (a region matches by name or position),
+    None for a miss."""
     if pattern == WILDCARD:
         return 0
-    return 1 if pattern == name else None
+    return 1 if pattern in names else None
 
 
-def _match_region(pattern, name: str, index: int) -> Optional[int]:
-    if pattern == WILDCARD:
-        return 0
-    if isinstance(pattern, int):
-        return 1 if pattern == index else None
-    return 1 if pattern == name else None
+def _slot_specificity(task: str, region: str, index: int, proc: str):
+    """The specificity of a Region or Layout statement for one region
+    argument of a task placed on ``proc``: the number of exact (task,
+    region, processor) slots, or None when a slot misses."""
+    def specificity(stmt) -> Optional[int]:
+        proc_pattern = stmt.proc if isinstance(stmt, RegionStmt) else stmt.proc_pattern
+        slots = (_match(stmt.task_pattern, task),
+                 _match(stmt.region_pattern, region, index),
+                 _match(proc_pattern, proc))
+        return None if None in slots else sum(slots)
+    return specificity
 
 
-def _best(candidates):
-    """Pick by (specificity, program order): most specific, then last wins."""
-    return max(candidates, key=lambda c: (c[0], c[1]))[2] if candidates else None
+def _winner(statements, specificity):
+    """The statement of highest specificity, the last among equals; None
+    when no statement matches."""
+    winner, best = None, -1
+    for stmt in statements:
+        spec = specificity(stmt)
+        if spec is not None and spec >= best:
+            winner, best = stmt, spec
+    return winner
 
 
 # --------------------------------------------------------------------------
@@ -94,8 +109,9 @@ def _best(candidates):
 def resolve(program: MapperProgram, app: ApplicationDescriptor,
             machine: MachineModel) -> MappingDecisionTable | list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
-    statements = program.statements
-    functions = program.functions
+    of_type: dict[type, list] = defaultdict(list)
+    for stmt in program.statements:
+        of_type[type(stmt)].append(stmt)
 
     task_proc: dict[str, str] = {}
     region_mem: dict[tuple[str, str], tuple[str, ...]] = {}
@@ -106,80 +122,57 @@ def resolve(program: MapperProgram, app: ApplicationDescriptor,
     collect: set[tuple[str, str]] = set()
 
     for task in app.tasks:
-        # Processor selection: scan the winning statement's kinds in order
-        # and take the first kind both present on the machine and supported
-        # by a task variant.
-        candidates = []
-        for order, stmt in enumerate(statements):
-            if isinstance(stmt, TaskStmt):
-                spec = _match_name(stmt.task_pattern, task.name)
-                if spec is not None:
-                    candidates.append((spec, order, stmt))
-        winner = _best(candidates)
+        name = task.name
+        # Processor selection: the first of the winning statement's kinds
+        # both present on the machine and supported by a task variant.
+        winner = _winner(of_type[TaskStmt],
+                         lambda stmt: _match(stmt.task_pattern, name))
         if winner is None:
             diagnostics.append(Diagnostic(
-                "error", 1, 1, f"no processor mapping for task {task.name}"))
+                "error", 1, 1, f"no processor mapping for task {name}"))
             continue
-        chosen = None
-        for kind in winner.procs:
-            if machine.count(kind) > 0 and task.variant_for(kind) is not None:
-                chosen = kind
-                break
+        chosen = next((kind for kind in winner.procs if machine.count(kind) > 0
+                       and task.variant_for(kind) is not None), None)
         if chosen is None:
             diagnostics.append(Diagnostic(
-                "error", 1, 1, f"no viable processor for task {task.name}"))
+                "error", 1, 1, f"no viable processor for task {name}"))
             continue
-        task_proc[task.name] = chosen
+        task_proc[name] = chosen
 
-        for arg_index, arg in enumerate(task.args):
-            key = (task.name, arg.region)
-            mem_candidates = []
-            lay_candidates = []
-            for order, stmt in enumerate(statements):
-                if isinstance(stmt, RegionStmt):
-                    specs = (_match_name(stmt.task_pattern, task.name),
-                             _match_region(stmt.region_pattern, arg.region, arg_index),
-                             _match_name(stmt.proc, chosen))
-                    if all(s is not None for s in specs):
-                        mem_candidates.append((sum(specs), order, stmt))
-                elif isinstance(stmt, LayoutStmt):
-                    specs = (_match_name(stmt.task_pattern, task.name),
-                             _match_region(stmt.region_pattern, arg.region, arg_index),
-                             _match_name(stmt.proc_pattern, chosen))
-                    if all(s is not None for s in specs):
-                        lay_candidates.append((sum(specs), order, stmt))
-            mem_winner = _best(mem_candidates)
-            if mem_winner is None:
+        for index, arg in enumerate(task.args):
+            key = (name, arg.region)
+            specificity = _slot_specificity(name, arg.region, index, chosen)
+            memory = _winner(of_type[RegionStmt], specificity)
+            if memory is None:
                 diagnostics.append(Diagnostic(
                     "error", 1, 1,
-                    f"no memory placement for task {task.name} "
-                    f"region {arg.region}"))
+                    f"no memory placement for task {name} region {arg.region}"))
             else:
-                region_mem[key] = mem_winner.memories
-            region_layout[key] = _layout_choice(_best(lay_candidates))
+                region_mem[key] = memory.memories
+            region_layout[key] = _layout_choice(_winner(of_type[LayoutStmt], specificity))
 
-        # Index / single task mapping: last statement naming the task wins.
-        for stmt in statements:
-            if isinstance(stmt, IndexTaskMapStmt) and task.name in stmt.task_names:
-                index_map[task.name] = stmt.func_name
-            elif isinstance(stmt, SingleTaskMapStmt) and task.name in stmt.task_names:
-                single_map[task.name] = stmt.func_name
-
-        for stmt in statements:
-            if isinstance(stmt, InstanceLimitStmt) and stmt.task_name == task.name:
-                instance_limit[task.name] = stmt.limit
-            elif isinstance(stmt, CollectStmt):
-                if _match_name(stmt.task_name, task.name) is None:
-                    continue
-                for arg_index, arg in enumerate(task.args):
-                    if _match_region(stmt.region_pattern, arg.region, arg_index) is not None:
-                        collect.add((task.name, arg.region))
+        # Index / single task mapping and instance limits: the last
+        # statement naming the task wins.
+        for stmt in of_type[IndexTaskMapStmt]:
+            if name in stmt.task_names:
+                index_map[name] = stmt.func_name
+        for stmt in of_type[SingleTaskMapStmt]:
+            if name in stmt.task_names:
+                single_map[name] = stmt.func_name
+        for stmt in of_type[InstanceLimitStmt]:
+            if stmt.task_name == name:
+                instance_limit[name] = stmt.limit
+        for stmt in of_type[CollectStmt]:
+            if _match(stmt.task_name, name) is not None:
+                collect.update(
+                    (name, arg.region) for index, arg in enumerate(task.args)
+                    if _match(stmt.region_pattern, arg.region, index) is not None)
 
     if diagnostics:
         return diagnostics
 
     used = set(index_map.values()) | set(single_map.values())
-    kept_functions, bindings = closure_of(functions, program, used)
+    kept_functions, bindings = closure_of(program.functions, program, used)
     return MappingDecisionTable(
         task_proc, region_mem, region_layout, index_map, single_map,
         instance_limit, frozenset(collect), kept_functions, bindings)
@@ -211,7 +204,10 @@ def closure_of(functions: dict[str, FuncDef], program: MapperProgram,
     functions and top-level bindings they name, and in turn whatever
     those bindings' expressions name (``m1 = m.merge(0, 1)`` keeps
     ``m``)."""
-    bindings = [s for s in program.statements if isinstance(s, AssignStmt)]
+    bindings: dict[str, list[AssignStmt]] = defaultdict(list)
+    for stmt in program.statements:
+        if isinstance(stmt, AssignStmt):
+            bindings[stmt.name].append(stmt)
     kept: set[str] = set()
     frontier = [name for name in used if name in functions]
     while frontier:
@@ -221,10 +217,11 @@ def closure_of(functions: dict[str, FuncDef], program: MapperProgram,
         kept.add(name)
         if name in functions:
             frontier.extend(free_names(functions[name]))
-        frontier.extend(ref for stmt in bindings if stmt.name == name
-                        for ref in expr_names(stmt.expr))
+        for stmt in bindings.get(name, ()):
+            frontier.extend(expr_names(stmt.expr))
     ordered = {name: func for name, func in functions.items() if name in kept}
-    return ordered, tuple(s for s in bindings if s.name in kept)
+    return ordered, tuple(stmt for stmt in program.statements
+                          if isinstance(stmt, AssignStmt) and stmt.name in kept)
 
 
 # --------------------------------------------------------------------------
@@ -331,41 +328,34 @@ def table_from_choices(app: ApplicationDescriptor, choices: Sequence,
 # --------------------------------------------------------------------------
 
 
-def _majority(values, tie_order):
-    counts = Counter(values)
-    return max(counts, key=lambda v: (counts[v], -tie_order.index(v)))
+def _majority(values):
+    """The most common value, the first seen among equally common ones."""
+    return Counter(values).most_common(1)[0][0]
+
+
+def _wildcard_and_exceptions(chosen: dict, keys: list, wildcard, statement) -> list:
+    """``statement(wildcard, v)`` for the most common value ``v`` of
+    ``chosen`` over ``keys``, then ``statement(key, value)`` for each key
+    whose value differs."""
+    if not keys:
+        return []
+    values = [chosen[key] for key in keys]
+    majority = _majority(values)
+    return [statement(wildcard, majority)] + [
+        statement(key, value) for key, value in zip(keys, values) if value != majority]
 
 
 def emit(table: MappingDecisionTable, app: ApplicationDescriptor) -> MapperProgram:
     """Render a table as a DSL program that resolves back to this table."""
-    statements: list = []
-
-    tasks = [t.name for t in app.tasks]
-    procs_chosen = [table.task_proc[t] for t in tasks]
-    majority_proc = _majority(procs_chosen, procs_chosen)
-    statements.append(TaskStmt(WILDCARD, (majority_proc,)))
-    for name, proc in zip(tasks, procs_chosen):
-        if proc != majority_proc:
-            statements.append(TaskStmt(name, (proc,)))
-
-    mem_keys = [(t.name, a.region) for t in app.tasks for a in t.args]
-    if mem_keys:
-        mems_chosen = [table.region_mem[k] for k in mem_keys]
-        majority_mem = _majority(mems_chosen, mems_chosen)
-        statements.append(RegionStmt(WILDCARD, WILDCARD, WILDCARD, majority_mem))
-        for key, mems in zip(mem_keys, mems_chosen):
-            if mems != majority_mem:
-                statements.append(RegionStmt(key[0], key[1], WILDCARD, mems))
-
-        layouts_chosen = [table.region_layout[k] for k in mem_keys]
-        majority_layout = _majority(layouts_chosen, layouts_chosen)
-        statements.append(LayoutStmt(WILDCARD, WILDCARD, WILDCARD,
-                                     _layout_constraints(majority_layout)))
-        for key, layout in zip(mem_keys, layouts_chosen):
-            if layout != majority_layout:
-                statements.append(LayoutStmt(key[0], key[1], WILDCARD,
-                                             _layout_constraints(layout)))
-
+    args = [(t.name, a.region) for t in app.tasks for a in t.args]
+    statements = (
+        _wildcard_and_exceptions(table.task_proc, [t.name for t in app.tasks], WILDCARD,
+                                 lambda task, proc: TaskStmt(task, (proc,)))
+        + _wildcard_and_exceptions(table.region_mem, args, (WILDCARD, WILDCARD),
+                                   lambda key, mems: RegionStmt(*key, WILDCARD, mems))
+        + _wildcard_and_exceptions(
+            table.region_layout, args, (WILDCARD, WILDCARD),
+            lambda key, layout: LayoutStmt(*key, WILDCARD, _layout_constraints(layout))))
     statements.extend(table.bindings)
     statements.extend(table.functions.values())
     for task, func in table.index_map.items():

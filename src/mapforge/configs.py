@@ -125,14 +125,14 @@ class CostParams:
 # --------------------------------------------------------------------------
 
 
-class _SchemaError(Exception):
+class _SchemaError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}" if path else message)
 
 
 # What a loader turns into a diagnostic: a file that cannot be read, is
 # not UTF-8 or YAML, or does not fit the schema.
-_LOAD_ERRORS = (_SchemaError, yaml.YAMLError, OSError, UnicodeDecodeError)
+_LOAD_ERRORS = (_SchemaError, OSError, UnicodeDecodeError)
 
 
 def _diag(exc: Exception) -> list[Diagnostic]:
@@ -210,9 +210,32 @@ def _proc_kind(value, path: str) -> str:
     return name
 
 
-def _load_yaml(path: Union[str, Path]) -> dict:
+# libyaml's loader where PyYAML was built with it: the same data, faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(path: Union[str, Path]):
+    """The data in a YAML file.
+
+    Raises OSError when the file cannot be read, and ValueError when it
+    is not UTF-8 or not YAML; a YAML error is one line, ``line L,
+    column C: problem``.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    data = yaml.safe_load(text)
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.MarkedYAMLError as exc:
+        mark, problem = exc.problem_mark, exc.problem
+        line, column = mark.line + 1, mark.column + 1
+    except yaml.reader.ReaderError as exc:  # a character YAML never allows
+        at = text.index(chr(exc.character))
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        problem = f"character #x{exc.character:04x} is not allowed"
+    raise _SchemaError("", f"line {line}, column {column}: {problem}")
+
+
+def _load_mapping(path: Union[str, Path]) -> dict:
+    data = load_yaml(path)
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -340,7 +363,7 @@ def _parse_exchange(data: dict, path: str,
 
 def load_app(path: Union[str, Path]) -> ApplicationDescriptor | list[Diagnostic]:
     try:
-        data = _load_yaml(path)
+        data = _load_mapping(path)
         _check_known(data, _APP_FIELDS, "")
         name = _as_str(_require(data, "name", ""), "name")
         metric = _as_str(data.get("metric", "time"), "metric", ("time", "gflops"))
@@ -392,7 +415,7 @@ def _parse_bandwidth_entries(entries, path: str) -> dict[tuple[str, str, bool], 
 
 def load_machine(path: Union[str, Path]) -> MachineModel | list[Diagnostic]:
     try:
-        data = _load_yaml(path)
+        data = _load_mapping(path)
         _check_known(data, _MACHINE_FIELDS + ("defaults",), "")
         name = _as_str(_require(data, "name", ""), "name")
         nodes = _as_int(_require(data, "nodes", ""), "nodes")
@@ -462,7 +485,7 @@ _COST_FIELDS = ("aos_gpu_penalty", "misalign_penalty", "zcmem_gpu_penalty",
 
 def load_costs(path: Union[str, Path]) -> CostParams | list[Diagnostic]:
     try:
-        data = _load_yaml(path)
+        data = _load_mapping(path)
         _check_known(data, _COST_FIELDS, "")
         penalties = {}
         for key in ("aos_gpu_penalty", "misalign_penalty", "zcmem_gpu_penalty"):

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -48,9 +49,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .ast import (
-    Attr, BinOp, Call, Expr, FuncDef, IntLit, LocalAssign, MachineExpr,
-    MapperProgram, MethodCall, Name, ReturnStmt, Splat, Subscript, Ternary,
-    TupleLit,
+    COMPARE_OPS, Attr, BinOp, Call, Expr, FuncDef, IntLit, LocalAssign,
+    MachineExpr, MapperProgram, MethodCall, Name, ReturnStmt, Splat, Subscript,
+    Ternary, TupleLit, entry_signature_error,
 )
 from .machine import MachineModel, ProcIndex, ProcessorSpace, SpaceError, machine_space
 
@@ -156,14 +157,8 @@ _ARITH = {
     "%": imod,
 }
 
-_COMPARE = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-}
+_COMPARE = dict(zip(COMPARE_OPS, (operator.eq, operator.ne, operator.lt,
+                                   operator.gt, operator.le, operator.ge)))
 
 
 def _is_int(value: Value) -> bool:
@@ -511,14 +506,10 @@ def mapping_args(func: FuncDef, task: TaskHandle) -> list[Value]:
     Both conventions are supported: a single Task parameter, or the
     (Tuple ipoint, Tuple ispace) pair.
     """
-    kinds = [p.kind for p in func.params]
-    if kinds == ["Task"]:
-        return [task]
-    if kinds == ["Tuple", "Tuple"]:
-        return [task.ipoint, task.ispace]
-    raise EvalError(
-        f"function {func.name} must take (Task task) or "
-        f"(Tuple ipoint, Tuple ispace) parameters")
+    signature_error = entry_signature_error(func)
+    if signature_error:
+        raise EvalError(signature_error)
+    return [task] if len(func.params) == 1 else [task.ipoint, task.ispace]
 
 
 def eval_mapping(func: FuncDef, task: TaskHandle, env: EvalEnv) -> ProcIndex:

@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import yaml
-
 from .ast import Diagnostic
+from .configs import load_yaml
 from .simulator import SimError, SimResult
 
 LEVEL_SYSTEM = "system"
@@ -96,10 +95,7 @@ def load_rules(path: Union[str, Path]) -> list[EnhancerRule]:
     Raises OSError when the file cannot be read, and ValueError when it
     is not UTF-8, not YAML, or not a list of rules.
     """
-    try:
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ValueError(str(exc)) from exc
+    data = load_yaml(path)
     if not isinstance(data, list):
         raise ValueError("expected a list of rules")
     rules = []

@@ -63,11 +63,8 @@ class MachineModel:
         return int(self.proc_counts.get(kind, 0))
 
     def bandwidth_for(self, src: str, dst: str, same_node: bool) -> float:
-        # Bandwidth is symmetric in its memory arguments.
-        key = (src, dst, same_node)
-        if key in self.bandwidth:
-            return self.bandwidth[key]
-        return self.bandwidth[(dst, src, same_node)]
+        # The loader stores both directions of each symmetric entry.
+        return self.bandwidth[(src, dst, same_node)]
 
 
 @dataclass(frozen=True)
@@ -286,14 +283,6 @@ class ProcessorSpace:
         for step in self.chain:
             idx = step.from_parent(idx)
         return tuple(idx)
-
-    def all_indices(self) -> np.ndarray:
-        """Every index of this space, row-major, as an (N, rank) array."""
-        total = math.prod(self.dims)
-        if total == 0:
-            return np.empty((0, self.rank), dtype=np.int64)
-        grids = np.indices(self.dims).reshape(self.rank, total)
-        return grids.T.astype(np.int64)
 
 
 def machine_space(model: MachineModel, kind: str) -> ProcessorSpace:

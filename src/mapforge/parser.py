@@ -59,7 +59,7 @@ import re
 from typing import NamedTuple
 
 from .ast import (
-    ALIGN_OPS, IDENT, MEM_ALIASES, MEM_KINDS, PROC_KINDS, WILDCARD,
+    ALIGN_OPS, COMPARE_OPS, IDENT, MEM_ALIASES, MEM_KINDS, PROC_KINDS, WILDCARD,
     Align, AssignStmt, Attr, BinOp, Call, CollectStmt, Diagnostic, Expr,
     FuncDef, IndexTaskMapStmt, InstanceLimitStmt, IntLit, LayoutStmt,
     LocalAssign, MachineExpr, MapperProgram, MethodCall, Name, Param,
@@ -76,8 +76,6 @@ MAX_NESTING = 100
 # Longer integer literals are a syntax error: every literal stays far
 # below the interpreter's integer bound and formats as text.
 MAX_DIGITS = 1000
-
-_COMPARE_OPS = ("==", "!=", "<", ">", "<=", ">=")
 
 # Whitespace and comments match no named group, so ``lastgroup`` is None.
 _TOKEN = re.compile(
@@ -361,7 +359,7 @@ class _Parser:
 
     def _ternary(self) -> Expr:
         cond = self._arith()
-        if self._peek().type in _COMPARE_OPS:
+        if self._peek().type in COMPARE_OPS:
             op = self._advance().type
             cond = BinOp(op, cond, self._arith())
         if self._peek().type == "?":

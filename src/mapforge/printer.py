@@ -8,7 +8,7 @@ not preserved; memory-kind aliases print in canonical spelling.
 from __future__ import annotations
 
 from .ast import (
-    Align, AssignStmt, Attr, BinOp, Call, CollectStmt, Expr, FuncDef,
+    COMPARE_OPS, Align, AssignStmt, Attr, BinOp, Call, CollectStmt, Expr, FuncDef,
     IndexTaskMapStmt, InstanceLimitStmt, IntLit, LayoutStmt, LocalAssign,
     MachineExpr, MapperProgram, MethodCall, Name, RegionStmt, ReturnStmt,
     SingleTaskMapStmt, Splat, Statement, Subscript, TaskStmt, Ternary,
@@ -23,8 +23,7 @@ _TERNARY, _COMPARE, _ADD, _MUL, _POSTFIX = range(5)
 _PRECEDENCE = {
     "+": _ADD, "-": _ADD,
     "*": _MUL, "/": _MUL, "%": _MUL,
-    "==": _COMPARE, "!=": _COMPARE,
-    "<": _COMPARE, ">": _COMPARE, "<=": _COMPARE, ">=": _COMPARE,
+    **dict.fromkeys(COMPARE_OPS, _COMPARE),
 }
 
 
@@ -68,10 +67,6 @@ def print_expr(expr: Expr, parent_prec: int = _TERNARY) -> str:
     raise TypeError(f"unknown expression node: {expr!r}")
 
 
-def _pattern(p) -> str:
-    return str(p)
-
-
 def _constraint(c) -> str:
     if isinstance(c, Align):
         return f"Align{c.op}{c.bytes}"
@@ -82,11 +77,11 @@ def print_statement(stmt: Statement) -> str:
     if isinstance(stmt, TaskStmt):
         return f"Task {stmt.task_pattern} {','.join(stmt.procs)};"
     if isinstance(stmt, RegionStmt):
-        return (f"Region {stmt.task_pattern} {_pattern(stmt.region_pattern)} "
+        return (f"Region {stmt.task_pattern} {stmt.region_pattern} "
                 f"{stmt.proc} {','.join(stmt.memories)};")
     if isinstance(stmt, LayoutStmt):
         cons = " ".join(_constraint(c) for c in stmt.constraints)
-        return (f"Layout {stmt.task_pattern} {_pattern(stmt.region_pattern)} "
+        return (f"Layout {stmt.task_pattern} {stmt.region_pattern} "
                 f"{stmt.proc_pattern} {cons};")
     if isinstance(stmt, IndexTaskMapStmt):
         return f"IndexTaskMap {','.join(stmt.task_names)} {stmt.func_name};"
@@ -95,7 +90,7 @@ def print_statement(stmt: Statement) -> str:
     if isinstance(stmt, InstanceLimitStmt):
         return f"InstanceLimit {stmt.task_name} {stmt.limit};"
     if isinstance(stmt, CollectStmt):
-        return f"CollectMemory {stmt.task_name} {_pattern(stmt.region_pattern)};"
+        return f"CollectMemory {stmt.task_name} {stmt.region_pattern};"
     if isinstance(stmt, AssignStmt):
         return f"{stmt.name} = {print_expr(stmt.expr)};"
     if isinstance(stmt, FuncDef):

@@ -128,8 +128,6 @@ class _Costs:
         key = (src, dst, same_node)
         if key in self.params.bandwidth:
             return self.params.bandwidth[key]
-        if (dst, src, same_node) in self.params.bandwidth:
-            return self.params.bandwidth[(dst, src, same_node)]
         return self.machine.bandwidth_for(src, dst, same_node)
 
 

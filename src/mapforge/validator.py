@@ -15,10 +15,11 @@ is left to evaluation time.
 from __future__ import annotations
 
 from .ast import (
-    Align, AssignStmt, Attr, BinOp, Call, Diagnostic, Expr, FuncDef,
+    COMPARE_OPS, Align, AssignStmt, Attr, BinOp, Call, Diagnostic, Expr, FuncDef,
     IndexTaskMapStmt, InstanceLimitStmt, LayoutStmt, LocalAssign,
     MachineExpr, MapperProgram, MethodCall, Name, RegionStmt, ReturnStmt,
     SingleTaskMapStmt, Splat, Subscript, TaskStmt, Ternary, TupleLit,
+    entry_signature_error,
 )
 
 # Most calls a chain of nested calls may hold, counted from a mapping
@@ -29,9 +30,6 @@ from .ast import (
 MAX_CALL_DEPTH = 1
 
 SPACE_METHODS = ("split", "merge", "swap", "slice", "decompose")
-TASK_ATTRS = ("ipoint", "ispace", "parent")
-
-_COMPARISONS = ("==", "!=", "<", ">", "<=", ">=")
 
 
 def _pos(node) -> tuple[int, int]:
@@ -139,7 +137,7 @@ class _Inference:
         if isinstance(expr, Name):
             return env.get(expr.ident, "unknown")
         if isinstance(expr, BinOp):
-            if expr.op in _COMPARISONS:
+            if expr.op in COMPARE_OPS:
                 return "int"
             lhs = self.infer(expr.lhs, env)
             rhs = self.infer(expr.rhs, env)
@@ -337,11 +335,9 @@ def validate(program: MapperProgram) -> list[Diagnostic]:
             if func is None:
                 diagnostics.append(_error(stmt, f"{kind}'s function undefined"))
                 continue
-            if not _entry_signature_ok(func):
-                diagnostics.append(_error(
-                    stmt,
-                    f"function {func.name} must take (Task task) or "
-                    f"(Tuple ipoint, Tuple ispace) parameters"))
+            signature_error = entry_signature_error(func)
+            if signature_error:
+                diagnostics.append(_error(stmt, signature_error))
             if not any(isinstance(b, ReturnStmt) for b in func.body):
                 diagnostics.append(_error(
                     func, f"function {func.name} must return a processor"))
@@ -354,11 +350,6 @@ def validate(program: MapperProgram) -> list[Diagnostic]:
                         f"(a machine space subscript), not a {rtype}"))
 
     return diagnostics
-
-
-def _entry_signature_ok(func: FuncDef) -> bool:
-    kinds = [p.kind for p in func.params]
-    return kinds == ["Task"] or kinds == ["Tuple", "Tuple"]
 
 
 # The direct subexpressions of each expression node type; the others

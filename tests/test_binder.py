@@ -9,13 +9,13 @@ from mapforge.binder import (
     search_space_size, table_from_choices,
 )
 from mapforge.configs import (
-    ApplicationDescriptor, RegionSpec, TaskArg, TaskSpec, VariantSpec,
+    ApplicationDescriptor, RegionSpec, TaskArg, TaskSpec, VariantSpec, load_app,
 )
-from mapforge.parser import parse_valid
+from mapforge.parser import parse, parse_valid
 from mapforge.printer import print_program
 from mapforge.validator import validate
 
-from conftest import expert_source, load_app_named
+from conftest import corpus_dsl_files, expert_source, load_app_named
 from mapforge.evaluator import corpus_path
 
 
@@ -100,6 +100,15 @@ def test_region_proc_slot_guards_on_chosen_kind(machine):
                          "Region * * CPU SYSMEM;", app, machine)
     assert table.region_mem[("gputask", "r")] == ("FBMEM",)
     assert table.region_mem[("cputask", "r")] == ("SYSMEM",)
+
+
+def test_missing_memory_placement_is_diagnosed(machine):
+    region = RegionSpec("r", 8, 1e6)
+    app = make_app([simple_task("t", procs=("GPU",), args=[TaskArg("r", 1.0)])],
+                   regions=[region])
+    program = parse_valid("Task * GPU;\nRegion * * CPU SYSMEM;")
+    result = resolve(program, app, machine)
+    assert [d.message for d in result] == ["no memory placement for task t region r"]
 
 
 def test_layout_defaults_and_overrides(machine, circuit_app):
@@ -236,6 +245,13 @@ def test_emit_fixed_point_on_experts(machine):
         emit_round_trip(table, app, machine)
 
 
+def test_emit_of_an_app_without_tasks_is_empty(machine):
+    app = make_app([])
+    table = table_from_choices(app, [])
+    assert emit(table, app) == MapperProgram(())
+    emit_round_trip(table, app, machine)
+
+
 def test_emit_keeps_extras(machine, circuit_app):
     table = resolve_text(corpus_path("strategies", "08.dsl").read_text(),
                          circuit_app, machine)
@@ -243,6 +259,40 @@ def test_emit_keeps_extras(machine, circuit_app):
     table = resolve_text(corpus_path("strategies", "07.dsl").read_text(),
                          circuit_app, machine)
     emit_round_trip(table, circuit_app, machine)
+
+
+def test_emit_round_trip_on_every_resolving_corpus_pair(machine, single_node_machine):
+    # Every corpus mapper against every bundled app on both machines;
+    # the pairs that resolve include hand-written Align layouts.
+    programs = [parse(path.read_text()) for path in corpus_dsl_files()]
+    tables = aligned = 0
+    for model in (machine, single_node_machine):
+        for path in sorted(corpus_path("apps").glob("*.app")):
+            app = load_app(path)
+            for program in programs:
+                table = resolve(program, app, model)
+                if isinstance(table, list):
+                    continue
+                emit_round_trip(table, app, model)
+                tables += 1
+                aligned += any(layout.align for layout in table.region_layout.values())
+    assert (tables, aligned) == (552, 44)
+
+
+def test_emit_round_trip_keeps_single_task_map(machine):
+    region = RegionSpec("scratch", 8, 1e5, (("FBMEM",),))
+    single = TaskSpec("finalize", "single", (1,), 1e6, (VariantSpec("GPU"),),
+                      (TaskArg("scratch", 1e3),), ("GPU",))
+    app = make_app([single], regions=[region])
+    table = resolve_text("""
+Task * GPU;
+Region * * * FBMEM;
+mgpu = Machine(GPU);
+def pin(Task t) { return mgpu[1, 2]; }
+SingleTaskMap finalize pin;
+""", app, machine)
+    assert table.single_map == {"finalize": "pin"}
+    emit_round_trip(table, app, machine)
 
 
 @pytest.mark.parametrize("app_name", ["stencil", "circuit"])
@@ -329,3 +379,16 @@ def f(Task t) { return c[0, 0]; }
     functions, bindings = closure_of(program.functions, program, {"f"})
     assert list(functions) == ["f"]
     assert [b.name for b in bindings] == ["a", "b", "c"]
+
+
+def test_closure_keeps_every_binding_of_a_rebound_name():
+    program = parse_valid("""
+a = Machine(GPU);
+b = Machine(CPU);
+a = b.merge(0, 1);
+unused = Machine(OMP);
+def f(Task t) { return a[0]; }
+""")
+    functions, bindings = closure_of(program.functions, program, {"f"})
+    assert list(functions) == ["f"]
+    assert bindings == program.statements[:3]

@@ -192,6 +192,31 @@ def test_non_utf8_descriptor_is_a_loader_diagnostic(capsys, tmp_path, flag):
     assert err.startswith("error: invalid ") and f" {bad}: " in err
 
 
+@pytest.mark.parametrize("flag", ["--app", "--machine", "--costs"])
+def test_missing_descriptor_is_an_io_error(capsys, tmp_path, flag):
+    missing = tmp_path / "missing.yaml"
+    paths = {"--app": APP, "--machine": MACHINE, "--costs": COSTS, flag: str(missing)}
+    argv = [item for pair in paths.items() for item in pair]
+    code, out, err = run_cli(capsys, "simulate", "--mapper", EXPERT, *argv)
+    assert code == 2
+    assert err == f"error: cannot read {missing}: no such file\n"
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--app", "name: [\n"),
+    ("--app", "name: x\n\x07\n"),
+    ("--rules", "- keyword: [\n"),
+], ids=["app_unclosed", "app_control_char", "rules_unclosed"])
+def test_yaml_error_is_one_line(capsys, tmp_path, flag, content):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(content)
+    paths = {"--app": APP, "--machine": MACHINE, flag: str(bad)}
+    argv = [item for pair in paths.items() for item in pair]
+    code, out, err = run_cli(capsys, "simulate", "--mapper", EXPERT, *argv)
+    assert code == 1
+    assert err.count("\n") == 1 and "line 2, column 1" in err
+
+
 @pytest.mark.parametrize("content, code, message", [
     (None, 2, "cannot read"),
     (b"- keyword: [\n", 1, "invalid rules"),

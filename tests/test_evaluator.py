@@ -11,6 +11,7 @@ from mapforge.evaluator import (
 )
 from mapforge.machine import ProcIndex, default_machine
 from mapforge.parser import parse_valid
+from mapforge.validator import validate
 
 
 def expr_of(source):
@@ -222,6 +223,17 @@ def test_missing_parent_errors():
     env = build_env(program, default_machine(2, 4))
     with pytest.raises(EvalError, match="has no parent"):
         eval_mapping(program.functions["same_point"], handle((0,), (1,)), env)
+
+
+def test_mapping_signature_is_checked_as_the_validator_does():
+    program = parse_valid("def f(int a) { return a; }\nIndexTaskMap t f;")
+    env = EvalEnv(default_machine(), functions=program.functions)
+    message = ("function f must take (Task task) or "
+               "(Tuple ipoint, Tuple ispace) parameters")
+    assert message in [d.message for d in validate(program)]
+    with pytest.raises(EvalError) as raised:
+        eval_mapping(program.functions["f"], handle((0,), (1,)), env)
+    assert str(raised.value) == message
 
 
 def test_mapping_must_return_processor():

@@ -140,9 +140,11 @@ def test_decompose_uneven_rejected():
 
 
 def test_index_of_inverts_lookup():
-    s = base(8, 8).split(0, 2).swap(1, 2)
-    for idx in all_indices(s.dims):
-        assert s.index_of(s.lookup(idx)) == idx
+    for s in (base(8, 8).split(0, 2).swap(1, 2),
+              base(8, 8).merge(0, 1).slice(0, 5, 40),
+              base(8, 4).split(1, 2).merge(0, 2).slice(0, 3, 12).swap(0, 1)):
+        for idx in all_indices(s.dims):
+            assert s.index_of(s.lookup(idx)) == idx
 
 
 def test_index_of_outside_slice_errors():

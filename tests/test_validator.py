@@ -1,6 +1,8 @@
 import random
 import time
 
+import pytest
+
 from mapforge.parser import parse
 from mapforge.validator import MAX_CALL_DEPTH, free_names, validate
 
@@ -121,6 +123,26 @@ def f(Tuple ipoint, Tuple ispace) {
 IndexTaskMap task0 f;
 """
     assert diags(source) == []
+
+
+@pytest.mark.parametrize("source, message", [
+    ("def f(Task t) { return t.foo; }\nIndexTaskMap a f;",
+     "tasks have no attribute .foo"),
+    ("m = Machine(GPU);\ndef f(Task t) { return m.bogus(1)[0, 0]; }\n"
+     "IndexTaskMap a f;",
+     "processor spaces have no method .bogus()"),
+    ("m = Machine(GPU);\ndef f(Task t) { return t.bogus(m); }\nIndexTaskMap a f;",
+     "tasks have no method .bogus()"),
+    ("def f(Task t) { x = 1; return x[0]; }\nIndexTaskMap a f;",
+     "cannot index a value of kind int"),
+    ("def f(Task t) { x = 1; }\nIndexTaskMap a f;",
+     "function f must return a processor"),
+    ("Layout * * * Align==64 Align==128;",
+     "conflicting layout constraints: at most one Align"),
+], ids=["task_attr", "space_method", "task_method", "index_int", "no_return",
+        "two_aligns"])
+def test_diagnostic_text(source, message):
+    assert diags(source) == [message]
 
 
 def test_unknown_space_attribute_flagged():
