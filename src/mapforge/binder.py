@@ -33,6 +33,7 @@ from .ast import (
     SingleTaskMapStmt, TaskStmt, WILDCARD,
 )
 from .configs import ApplicationDescriptor
+from .evaluator import builtin_program
 from .machine import MachineModel
 from .validator import expr_names, free_names
 
@@ -77,16 +78,18 @@ def _match(pattern, *names) -> Optional[int]:
     return 1 if pattern in names else None
 
 
-def _slot_specificity(task: str, region: str, index: int, proc: str):
-    """The specificity of a Region or Layout statement for one region
-    argument of a task placed on ``proc``: the number of exact (task,
-    region, processor) slots, or None when a slot misses."""
+def _slot_specificity(region: str, index: int, proc: str):
+    """The specificity of a Region or Layout statement, whose task
+    pattern already matches, for one region argument of a task placed on
+    ``proc``: the number of exact (task, region, processor) slots, or
+    None when a slot misses."""
     def specificity(stmt) -> Optional[int]:
         proc_pattern = stmt.proc if isinstance(stmt, RegionStmt) else stmt.proc_pattern
-        slots = (_match(stmt.task_pattern, task),
-                 _match(stmt.region_pattern, region, index),
-                 _match(proc_pattern, proc))
-        return None if None in slots else sum(slots)
+        region_slot = _match(stmt.region_pattern, region, index)
+        proc_slot = _match(proc_pattern, proc)
+        if region_slot is None or proc_slot is None:
+            return None
+        return (stmt.task_pattern != WILDCARD) + region_slot + proc_slot
     return specificity
 
 
@@ -139,17 +142,23 @@ def resolve(program: MapperProgram, app: ApplicationDescriptor,
             continue
         task_proc[name] = chosen
 
+        # Region and Layout statements whose task pattern matches, in
+        # program order.
+        regions = [stmt for stmt in of_type[RegionStmt]
+                   if _match(stmt.task_pattern, name) is not None]
+        layouts = [stmt for stmt in of_type[LayoutStmt]
+                   if _match(stmt.task_pattern, name) is not None]
         for index, arg in enumerate(task.args):
             key = (name, arg.region)
-            specificity = _slot_specificity(name, arg.region, index, chosen)
-            memory = _winner(of_type[RegionStmt], specificity)
+            specificity = _slot_specificity(arg.region, index, chosen)
+            memory = _winner(regions, specificity)
             if memory is None:
                 diagnostics.append(Diagnostic(
                     "error", 1, 1,
                     f"no memory placement for task {name} region {arg.region}"))
             else:
                 region_mem[key] = memory.memories
-            region_layout[key] = _layout_choice(_winner(of_type[LayoutStmt], specificity))
+            region_layout[key] = _layout_choice(_winner(layouts, specificity))
 
         # Index / single task mapping and instance limits: the last
         # statement naming the task wins.
@@ -292,13 +301,30 @@ def table_from_choices(app: ApplicationDescriptor, choices: Sequence,
 
     Index-mapping choices are names of built-in library functions.
     """
-    from .evaluator import builtin_program
+    return _table_from_choices(app, choices, decision_dimensions(app))
 
-    dims = decision_dimensions(app)
+
+# The built-in library, its functions by name and its closures by set of
+# chosen names, kept for as long as ``builtin_program`` returns the same
+# program.
+_library_cache: tuple = (None, {}, {})
+
+
+def _library() -> tuple[MapperProgram, dict[str, FuncDef], dict]:
+    global _library_cache
+    library = builtin_program()
+    if _library_cache[0] is not library:
+        _library_cache = (library, library.functions, {})
+    return _library_cache
+
+
+def _table_from_choices(app: ApplicationDescriptor, choices: Sequence,
+                        dims: Sequence[DecisionDimension]) -> MappingDecisionTable:
+    """``table_from_choices`` over the app's ``dims``, computed once by
+    the caller."""
     if len(choices) != len(dims):
         raise ValueError(f"expected {len(dims)} choices, got {len(choices)}")
-    library = builtin_program()
-    functions = library.functions
+    library, functions, closures = _library()
 
     task_proc: dict[str, str] = {}
     region_mem: dict[tuple[str, str], tuple[str, ...]] = {}
@@ -317,10 +343,14 @@ def table_from_choices(app: ApplicationDescriptor, choices: Sequence,
                 raise ValueError(f"unknown mapping function {choice}")
             index_map[dim.dim_id[1]] = choice
 
-    kept, kept_bindings = closure_of(functions, library, set(index_map.values()))
+    used = frozenset(index_map.values())
+    if used not in closures:
+        closures[used] = closure_of(functions, library, used)
+    kept, kept_bindings = closures[used]
+    # Each table gets its own dict, so no caller can change the memo.
     return MappingDecisionTable(
         task_proc, region_mem, region_layout, index_map, {}, {}, frozenset(),
-        kept, kept_bindings)
+        dict(kept), kept_bindings)
 
 
 # --------------------------------------------------------------------------

@@ -219,11 +219,14 @@ def load_yaml(path: Union[str, Path]):
 
     Raises OSError when the file cannot be read, and ValueError when it
     is not UTF-8 or not YAML; a YAML error is one line, ``line L,
-    column C: problem``.
+    column C: problem``, or ``invalid value: problem`` for a scalar the
+    loader cannot build, such as the date ``2001-13-45``.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
         return yaml.load(text, Loader=_YAML_LOADER)
+    except ValueError as exc:  # raised while building a value; no position
+        raise _SchemaError("", f"invalid value: {exc}") from None
     except yaml.MarkedYAMLError as exc:
         mark, problem = exc.problem_mark, exc.problem
         line, column = mark.line + 1, mark.column + 1

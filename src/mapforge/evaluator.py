@@ -616,7 +616,9 @@ def builtin_program() -> MapperProgram:
 
     The files are parsed on the first call only; later calls return the
     same program.  It is immutable: its ``functions`` and ``bindings``
-    build a new dict on every access.
+    build a new dict on every access, so a caller on a hot path keeps
+    the dict for as long as this returns the same program, as
+    ``binder.table_from_choices`` does.
     """
     from .parser import parse_valid
 

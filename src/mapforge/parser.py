@@ -56,6 +56,7 @@ can exhaust the Python stack.
 from __future__ import annotations
 
 import re
+import string
 from typing import NamedTuple
 
 from .ast import (
@@ -77,10 +78,14 @@ MAX_NESTING = 100
 # below the interpreter's integer bound and formats as text.
 MAX_DIGITS = 1000
 
-# Whitespace and comments match no named group, so ``lastgroup`` is None.
-_TOKEN = re.compile(
-    rf"[ \t\r]+|#[^\n]*|(?P<newline>\n)|(?P<IDENT>{IDENT})|(?P<INT>[0-9]+)"
-    r"|(?P<symbol>==|!=|<=|>=|[;,(){}\[\].?:=<>+\-*/%])|(?P<bad>.)")
+# One match per token, whitespace run or comment, over one line: every
+# character of a line is in exactly one match.  A match's kind is found
+# from its first character (``_KINDS``); whitespace and comments have
+# none, and a symbol is its own kind.
+_TOKEN = re.compile(rf"[ \t\r]+|#.*|{IDENT}|[0-9]+|==|!=|<=|>=|.")
+_SYMBOLS = frozenset(("==", "!=", "<=", ">=", *";,(){}[].?:=<>+-*/%"))
+_KINDS = {**dict.fromkeys(string.ascii_letters + "_", "IDENT"),
+          **dict.fromkeys(string.digits, "INT"), **dict.fromkeys(" \t\r#")}
 
 
 class Token(NamedTuple):
@@ -106,42 +111,46 @@ class _SyntaxFailure(Exception):
 def tokenize(source: str) -> list[Token]:
     """Tokenize DSL source; raises _SyntaxFailure on an illegal character."""
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    for match in _TOKEN.finditer(source):
-        kind = match.lastgroup
-        if kind is None:
-            continue
-        if kind == "newline":
-            line, line_start = line + 1, match.end()
-            continue
-        text = match.group()
-        col = match.start() - line_start + 1
-        if kind == "bad":
-            raise _SyntaxFailure(line, col, f"Syntax error, unexpected character {text!r}")
-        if kind == "INT" and len(text) > MAX_DIGITS:
-            raise _SyntaxFailure(
-                line, col, f"Syntax error, integer literal longer than {MAX_DIGITS} digits")
-        tokens.append(Token(text if kind == "symbol" else kind, text, line, col))
-    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
+    append, new_token = tokens.append, tuple.__new__  # skips Token's Python __new__
+    for line, text in enumerate(source.split("\n"), 1):
+        col = 1
+        for match in _TOKEN.findall(text):
+            kind = _KINDS.get(match[0], "")
+            if kind == "IDENT":
+                append(new_token(Token, (kind, match, line, col)))
+            elif match in _SYMBOLS:
+                append(new_token(Token, (match, match, line, col)))
+            elif kind == "INT":
+                if len(match) > MAX_DIGITS:
+                    raise _SyntaxFailure(
+                        line, col,
+                        f"Syntax error, integer literal longer than {MAX_DIGITS} digits")
+                append(new_token(Token, (kind, match, line, col)))
+            elif kind is not None:
+                raise _SyntaxFailure(
+                    line, col, f"Syntax error, unexpected character {match!r}")
+            col += len(match)
+    append(Token("EOF", "", line, len(text) + 1))
     return tokens
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        # The hot rules read ``types[pos]`` and step ``pos`` themselves.
+        # They step only past a token whose type they have checked, so
+        # ``pos`` never moves past EOF.
+        self.types = [tok.type for tok in tokens]
         self.pos = 0
         self.depth = 0  # expression nesting levels open at the current token
 
     # -- token access --------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token:
-        # Callers look ahead only from an IDENT, so EOF is still in range.
-        return self.tokens[self.pos + ahead]
-
     def _advance(self) -> Token:
+        """The current token, stepping past it; callers have checked that
+        it is an IDENT."""
         tok = self.tokens[self.pos]
-        if tok.type != "EOF":
-            self.pos += 1
+        self.pos += 1
         return tok
 
     def _fail(self, tok: Token, expecting: str) -> _SyntaxFailure:
@@ -151,28 +160,25 @@ class _Parser:
         )
 
     def _expect(self, token_type: str, expecting: str | None = None) -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.type != token_type:
             raise self._fail(tok, expecting or token_type)
-        return self._advance()
+        self.pos += 1
+        return tok
 
     def _ident(self, expecting: str = "identifier") -> str:
         return self._expect("IDENT", expecting).text
 
-    def _match(self, token_type: str) -> Token | None:
-        if self._peek().type == token_type:
-            return self._advance()
-        return None
-
     def _comma_list(self, item, *args) -> tuple:
         """``item {"," item}``: one or more items, each parsed by ``item(*args)``."""
         items = [item(*args)]
-        while self._match(","):
+        while self.types[self.pos] == ",":
+            self.pos += 1
             items.append(item(*args))
         return tuple(items)
 
     def _too_deep(self) -> _SyntaxFailure:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         return _SyntaxFailure(
             tok.line, tok.col,
             f"Syntax error, expression nested more than {MAX_NESTING} levels deep")
@@ -181,17 +187,18 @@ class _Parser:
 
     def parse_program(self) -> MapperProgram:
         statements: list[Statement] = []
-        while self._peek().type != "EOF":
+        while self.types[self.pos] != "EOF":
             statements.append(self._statement())
         return MapperProgram(tuple(statements))
 
     def _statement(self) -> Statement:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.type == "IDENT":
             rule = _STATEMENT_RULES.get(tok.text)
             if rule is not None:
                 return rule(self)
-            if self._peek(1).type == "=":
+            # Looking ahead from an IDENT, EOF is still in range.
+            if self.types[self.pos + 1] == "=":
                 return self._assignment(AssignStmt)
         raise self._fail(tok, "a statement")
 
@@ -213,7 +220,7 @@ class _Parser:
         kw = self._advance()
         task, region, proc = self._pattern(), self._region_pattern(), self._proc_pattern()
         constraints = [self._constraint()]
-        while self._peek().type != ";":
+        while self.types[self.pos] != ";":
             constraints.append(self._constraint())
         self._expect(";")
         return LayoutStmt(task, region, proc, tuple(constraints), pos=(kw.line, kw.col))
@@ -256,85 +263,84 @@ class _Parser:
         self._expect(")")
         self._expect("{")
         body: list = []
-        while self._peek().type != "}":
-            if self._peek().type == "EOF":
-                raise self._fail(self._peek(), "}")
+        while self.types[self.pos] != "}":
+            if self.types[self.pos] == "EOF":
+                raise self._fail(self.tokens[self.pos], "}")
             body.append(self._func_stmt())
         self._expect("}")
         return FuncDef(name, params, tuple(body), pos=(kw.line, kw.col))
 
     def _param(self) -> Param:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.type != "IDENT" or tok.text not in PARAM_KINDS:
             raise self._fail(tok, "Task, Tuple, or int")
-        self._advance()
+        self.pos += 1
         return Param(tok.text, self._ident("parameter name"))
 
     def _func_stmt(self):
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.type == "IDENT" and tok.text == "return":
-            self._advance()
+            self.pos += 1
             expr = self._expr()
             self._expect(";")
             return ReturnStmt(expr, pos=(tok.line, tok.col))
-        if tok.type == "IDENT" and self._peek(1).type == "=":
+        if tok.type == "IDENT" and self.types[self.pos + 1] == "=":
             return self._assignment(LocalAssign)
         raise self._fail(tok, "an assignment or return")
 
     # -- patterns and kind names ----------------------------------------
 
     def _pattern(self) -> str:
-        tok = self._peek()
-        if tok.type == "*":
-            self._advance()
-            return WILDCARD
-        if tok.type == "IDENT":
-            return self._advance().text
+        tok = self.tokens[self.pos]
+        if tok.type == "*" or tok.type == "IDENT":
+            self.pos += 1
+            return tok.text  # the wildcard's text is WILDCARD
         raise self._fail(tok, "a task name or *")
 
     def _region_pattern(self) -> Pattern:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.type == "INT":
-            return int(self._advance().text)
-        if tok.type == "*":
-            self._advance()
-            return WILDCARD
-        if tok.type == "IDENT":
-            return self._advance().text
+            self.pos += 1
+            return int(tok.text)
+        if tok.type == "*" or tok.type == "IDENT":
+            self.pos += 1
+            return tok.text
         raise self._fail(tok, "a region name, index, or *")
 
     def _proc_kind(self) -> str:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.type == "IDENT" and tok.text in PROC_KINDS:
-            return self._advance().text
+            self.pos += 1
+            return tok.text
         raise self._fail(tok, "a processor kind (CPU, GPU, or OMP)")
 
     def _proc_pattern(self) -> str:
-        if self._match("*"):
+        if self.types[self.pos] == "*":
+            self.pos += 1
             return WILDCARD
         return self._proc_kind()
 
     def _mem_kind(self) -> str:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.type == "IDENT":
             text = MEM_ALIASES.get(tok.text, tok.text)
             if text in MEM_KINDS:
-                self._advance()
+                self.pos += 1
                 return text
         raise self._fail(tok, "a memory kind")
 
     def _constraint(self):
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.type != "IDENT":
             raise self._fail(tok, "a layout constraint")
         if tok.text in LAYOUT_KEYWORDS:
-            return self._advance().text
+            self.pos += 1
+            return tok.text
         if tok.text == "Align":
-            self._advance()
-            op = self._peek()
+            op = self.tokens[self.pos + 1]
             if op.type not in ALIGN_OPS:
                 raise self._fail(op, "==, <=, or >=")
-            self._advance()
+            self.pos += 2
             value = self._expect("INT", "alignment in bytes")
             return Align(op.type, int(value.text))
         raise self._fail(tok, "a layout constraint")
@@ -359,14 +365,16 @@ class _Parser:
 
     def _ternary(self) -> Expr:
         cond = self._arith()
-        if self._peek().type in COMPARE_OPS:
-            op = self._advance().type
+        types = self.types
+        if types[self.pos] in COMPARE_OPS:
+            op = types[self.pos]
+            self.pos += 1
             cond = BinOp(op, cond, self._arith())
-        if self._peek().type == "?":
+        if types[self.pos] == "?":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise self._too_deep()
-            self._advance()
+            self.pos += 1
             then = self._ternary()
             self._expect(":")
             other = self._ternary()
@@ -381,44 +389,54 @@ class _Parser:
 
     def _arith(self) -> Expr:
         """A ``+ -`` chain of ``* / %`` chains of postfix operands."""
+        types = self.types
         outer = self.depth
         expr, op = None, None
         while True:
             inner = self.depth
             term = self._postfix()
-            while self._peek().type in ("*", "/", "%"):
+            while types[self.pos] in ("*", "/", "%"):
                 self.depth += 1
-                term = BinOp(self._advance().type, term, self._postfix())
+                mul = types[self.pos]
+                self.pos += 1
+                term = BinOp(mul, term, self._postfix())
             if self.depth != inner:
                 self._end_chain(inner)
             expr = term if op is None else BinOp(op, expr, term)
-            if self._peek().type not in ("+", "-"):
+            if types[self.pos] not in ("+", "-"):
                 break
             self.depth += 1
-            op = self._advance().type
+            op = types[self.pos]
+            self.pos += 1
         if self.depth != outer:
             self._end_chain(outer)
         return expr
 
     def _postfix(self) -> Expr:
+        types = self.types
         depth = self.depth
         expr = self._primary()
         while True:
-            if self._match("."):
+            kind = types[self.pos]
+            if kind == ".":
+                self.pos += 1
                 self.depth += 1
                 name = self._ident("attribute name")
-                if self._match("("):
+                if types[self.pos] == "(":
+                    self.pos += 1
                     args = self._comma_list(self._expr)
                     self._expect(")")
                     expr = MethodCall(expr, name, args)
                 else:
                     expr = Attr(expr, name)
-            elif self._match("["):
+            elif kind == "[":
+                self.pos += 1
                 self.depth += 1
                 if self.depth > MAX_NESTING:  # a splat recurses here
                     raise self._too_deep()
                 indices = [self._subscript_arg()]
-                while self._match(","):
+                while types[self.pos] == ",":
+                    self.pos += 1
                     indices.append(self._subscript_arg())
                 self._expect("]")
                 expr = Subscript(expr, tuple(indices))
@@ -428,27 +446,34 @@ class _Parser:
                 return expr
 
     def _subscript_arg(self) -> Expr:
-        if self._match("*"):
+        if self.types[self.pos] == "*":
+            self.pos += 1
             return Splat(self._postfix())
         return self._expr()
 
     def _primary(self) -> Expr:
-        tok = self._advance()
+        types, pos = self.types, self.pos
+        tok = self.tokens[pos]
         if tok.type == "INT":
+            self.pos = pos + 1
             return IntLit(int(tok.text))
         if tok.type == "IDENT":
-            if tok.text == "Machine" and self._peek().type == "(":
-                self._advance()
+            if types[pos + 1] != "(":
+                self.pos = pos + 1
+                return Name(tok.text, pos=(tok.line, tok.col))
+            self.pos = pos + 2
+            if tok.text == "Machine":
                 kind = self._proc_kind()
                 self._expect(")")
                 return MachineExpr(kind)
-            if not self._match("("):
-                return Name(tok.text, pos=(tok.line, tok.col))
-        elif tok.type != "(":
+        elif tok.type == "(":
+            self.pos = pos + 1
+        else:
             raise self._fail(tok, "an expression")
         # Call arguments, or a parenthesized expression or tuple.
         items = [self._expr()]
-        while self._match(","):
+        while types[self.pos] == ",":
+            self.pos += 1
             items.append(self._expr())
         self._expect(")")
         if tok.type == "IDENT":

@@ -21,7 +21,9 @@ and ``external`` (an optimizer behind the adapter wire protocol).  All
 built-ins are deterministic given (history, seed).
 
 A run evaluates each distinct program text once; a repeated text reuses
-the result and system feedback of its first evaluation.
+the result and system feedback of its first evaluation.  Likewise a run
+turns each distinct choices vector into text once: a repeated vector
+reuses its printed text, or the compile error its table raised.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Optional, Sequence, Union
 from .adapter import AdapterClient, AdapterError, build_request, parse_response
 from .ast import Diagnostic, MapperProgram
 from .binder import (
-    DecisionDimension, decision_dimensions, emit, resolve, table_from_choices,
+    DecisionDimension, _table_from_choices, decision_dimensions, emit, resolve,
 )
 from .configs import ApplicationDescriptor, CostParams
 from .feedback import (
@@ -45,7 +47,7 @@ from .feedback import (
 from .machine import MachineModel
 from .parser import parse
 from .printer import print_program
-from .simulator import SimResult, simulate
+from .simulator import MappingError, SimResult, simulate
 from .validator import validate
 
 DEFAULT_BUDGET = 10
@@ -237,13 +239,29 @@ def evaluate_program(text: str, app: ApplicationDescriptor,
                      machine: MachineModel, costs: CostParams,
                      ) -> tuple[Union[SimResult, None], FeedbackReport]:
     """Compile, resolve, and simulate one candidate program; returns the
-    result (None on failure) and its system-level feedback."""
-    program = compile_program(text)
-    outcome = (program if isinstance(program, list)
-               else simulate_program(program, app, machine, costs))
+    result (None on failure) and its system-level feedback.
+
+    Any exception that escapes a step is that step's failure, with the
+    exception's text as the message: a CompileError from the compile
+    step, an ExecutionError from the run step.
+    """
+    try:
+        program = compile_program(text)
+    except Exception as exc:
+        program = [Diagnostic("error", 1, 1, _escaped(exc))]
+    if isinstance(program, list):
+        return None, classify(program, app.metric)
+    try:
+        outcome = simulate_program(program, app, machine, costs)
+    except Exception as exc:
+        return None, classify(MappingError(_escaped(exc)), app.metric)
     if isinstance(outcome, list):
         return None, classify(outcome, app.metric)
     return outcome
+
+
+def _escaped(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run(app: ApplicationDescriptor, machine: MachineModel, costs: CostParams,
@@ -264,12 +282,14 @@ def run(app: ApplicationDescriptor, machine: MachineModel, costs: CostParams,
     dims = decision_dimensions(app)
     trajectory = Trajectory(strategy_name, seed, app.name, machine.name)
     best_score: Optional[float] = None
-    # Evaluation is deterministic, so a repeated text reuses its outcome.
+    # Compiling and evaluating are deterministic, so a repeated choices
+    # vector reuses its text and a repeated text its outcome.
+    printed: dict[tuple, Union[str, FeedbackReport]] = {}
     evaluated: dict[str, tuple[Optional[SimResult], FeedbackReport]] = {}
 
     for iteration in range(objective.budget):
         candidate, failure = _propose(strategy_fn, trajectory.records, dims,
-                                      seed, app)
+                                      seed, app, printed)
         if failure is not None:
             report = failure
             score = None
@@ -294,22 +314,34 @@ def run(app: ApplicationDescriptor, machine: MachineModel, costs: CostParams,
     return trajectory
 
 
-def _propose(strategy_fn, history, dims, seed, app,
+def _propose(strategy_fn, history, dims, seed, app, printed,
              ) -> tuple[Candidate, Optional[FeedbackReport]]:
     try:
         proposal = strategy_fn(history, dims, seed)
     except AdapterError as exc:
         return Candidate(program_text=""), FeedbackReport("CompileError", str(exc))
-    if "choices" in proposal:
-        choices = list(proposal["choices"])
-        try:
-            table = table_from_choices(app, choices)
-        except ValueError as exc:
-            return (Candidate(program_text="", choices=tuple(choices)),
-                    FeedbackReport("CompileError", str(exc)))
-        text = print_program(emit(table, app))
-        return Candidate(program_text=text, choices=tuple(choices)), None
-    return Candidate(program_text=proposal["program"]), None
+    if "choices" not in proposal:
+        return Candidate(program_text=proposal["program"]), None
+    choices = tuple(proposal["choices"])
+    try:
+        outcome = printed[choices]
+    except KeyError:
+        outcome = printed[choices] = _print_choices(app, choices, dims)
+    except TypeError:  # an unhashable option: the vector cannot key the memo
+        outcome = _print_choices(app, choices, dims)
+    if isinstance(outcome, FeedbackReport):
+        return Candidate(program_text="", choices=choices), outcome
+    return Candidate(program_text=outcome, choices=choices), None
+
+
+def _print_choices(app, choices, dims) -> Union[str, FeedbackReport]:
+    """The program text of one choices vector, or the compile error its
+    table raised."""
+    try:
+        table = _table_from_choices(app, choices, dims)
+    except ValueError as exc:
+        return FeedbackReport("CompileError", str(exc))
+    return print_program(emit(table, app))
 
 
 # --------------------------------------------------------------------------

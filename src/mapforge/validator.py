@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .ast import (
     COMPARE_OPS, Align, AssignStmt, Attr, BinOp, Call, Diagnostic, Expr, FuncDef,
-    IndexTaskMapStmt, InstanceLimitStmt, LayoutStmt, LocalAssign,
+    IndexTaskMapStmt, InstanceLimitStmt, IntLit, LayoutStmt, LocalAssign,
     MachineExpr, MapperProgram, MethodCall, Name, RegionStmt, ReturnStmt,
     SingleTaskMapStmt, Splat, Subscript, TaskStmt, Ternary, TupleLit,
     entry_signature_error,
@@ -126,8 +126,6 @@ class _Inference:
         return rtype
 
     def infer(self, expr: Expr, env: dict[str, str]) -> str:
-        from .ast import IntLit
-
         if isinstance(expr, IntLit):
             return "int"
         if isinstance(expr, TupleLit):

@@ -217,6 +217,19 @@ def test_yaml_error_is_one_line(capsys, tmp_path, flag, content):
     assert err.count("\n") == 1 and "line 2, column 1" in err
 
 
+@pytest.mark.parametrize("value, problem", [
+    ("2001-13-45", "month must be in 1..12"),
+    ("!!int 0x", "invalid literal for int() with base 16: ''"),
+    ("!!float x", "could not convert string to float: 'x'"),
+], ids=["date", "int", "float"])
+def test_unbuildable_yaml_value_is_one_line(capsys, tmp_path, value, problem):
+    app = tmp_path / "ts.app"
+    app.write_text(f"name: x\nmetric: {value}\ntasks: []\n")
+    code, out, err = run_cli(capsys, "space", "--app", str(app))
+    assert code == 1
+    assert err == f"error: invalid application {app}: invalid value: {problem}\n"
+
+
 @pytest.mark.parametrize("content, code, message", [
     (None, 2, "cannot read"),
     (b"- keyword: [\n", 1, "invalid rules"),

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -261,3 +262,106 @@ def test_deep_nesting_is_a_syntax_error(depth):
 ], ids=["sum", "ternary", "methods", "subscripts", "calls"])
 def test_long_chains_count_as_nesting(source):
     assert "nested more than" in first_diag(source).message
+
+
+# -- the lexer against pinned token lists ----------------------------------
+#
+# Token counts and digests of every corpus file, and the tokens and
+# diagnostics of edited texts, as the tokenizer produced them before it
+# read the source line by line.  Any change to a type, text, line or
+# column changes a digest.
+
+CORPUS_TOKENS = {
+    "builtins/block3d.dsl": (181, "2f629fd8dacb89ae"),
+    "builtins/common_mappings.dsl": (236, "5f7760b72586b8b5"),
+    "builtins/matmul_mappings.dsl": (312, "46151126caba382c"),
+    "examples/intro_gpu_cyclic.dsl": (82, "0a44359f7e1b9e50"),
+    "experts/cannon.dsl": (65, "f6f0d4a9ee275fb0"),
+    "experts/circuit.dsl": (26, "4f23593caffb0cc7"),
+    "experts/cosma.dsl": (119, "7b7fe47ef69e695e"),
+    "experts/johnson.dsl": (119, "c5686646eec23d5d"),
+    "experts/pennant.dsl": (26, "4f23593caffb0cc7"),
+    "experts/pumma.dsl": (65, "ff2341e9823123fb"),
+    "experts/solomonik.dsl": (242, "99bb37bb8887d102"),
+    "experts/stencil.dsl": (26, "4f23593caffb0cc7"),
+    "experts/summa.dsl": (65, "ca3438047c283e84"),
+    "generated/circuit_iter10.dsl": (69, "e04bb0ffa3b06a56"),
+    "generated/circuit_iter2.dsl": (134, "3b7ec361bcacfb1d"),
+    "generated/solomonik_iter10.dsl": (398, "eb89f3344b2d7cf3"),
+    "generated/solomonik_iter2.dsl": (112, "f05c7dcb69fe598b"),
+    "strategies/01.dsl": (88, "8eaa3d3541893587"),
+    "strategies/02.dsl": (52, "609cf764d15338ee"),
+    "strategies/03.dsl": (39, "6c38f36b40eacac1"),
+    "strategies/04.dsl": (39, "fdc43fcad4f3baa1"),
+    "strategies/05.dsl": (42, "68c07f4ca7b5c13d"),
+    "strategies/06.dsl": (44, "1e94029d32b5463a"),
+    "strategies/07.dsl": (44, "87038818e08534ed"),
+    "strategies/08.dsl": (44, "69c9739be816a091"),
+    "strategies/09.dsl": (46, "4dac99b25e2b5fba"),
+    "strategies/10.dsl": (97, "e881749ccf8baf0b"),
+}
+
+
+def _token_digest(tokens):
+    lines = "\n".join(f"{t.type} {t.text} {t.line} {t.col}" for t in tokens)
+    return hashlib.sha256(lines.encode()).hexdigest()[:16]
+
+
+def test_corpus_tokens_are_pinned():
+    from mapforge.evaluator import corpus_path
+
+    root = corpus_path()
+    seen = {}
+    for path in corpus_dsl_files():
+        source = path.read_text()
+        tokens = tokenize(source)
+        seen[path.relative_to(root).as_posix()] = (len(tokens), _token_digest(tokens))
+        # CRLF line ends and a trailing comment with no newline move no token.
+        assert tokenize(source.replace("\n", "\r\n")) == tokens
+        commented = tokenize(source + "# end")
+        assert commented[:-1] == tokens[:-1]
+        assert commented[-1] == tokens[-1]._replace(col=tokens[-1].col + 5)
+    assert seen == CORPUS_TOKENS
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("", [("EOF", "", 1, 1)]),
+    ("Task * GPU;\r\nRegion * * * FBMEM;\r\n",
+     [("IDENT", "Task", 1, 1), ("*", "*", 1, 6), ("IDENT", "GPU", 1, 8), (";", ";", 1, 11),
+      ("IDENT", "Region", 2, 1), ("*", "*", 2, 8), ("*", "*", 2, 10), ("*", "*", 2, 12),
+      ("IDENT", "FBMEM", 2, 14), (";", ";", 2, 19), ("EOF", "", 3, 1)]),
+    ("x = 1; # done",
+     [("IDENT", "x", 1, 1), ("=", "=", 1, 3), ("INT", "1", 1, 5), (";", ";", 1, 6),
+      ("EOF", "", 1, 14)]),
+    ("x = 1;\n# done",
+     [("IDENT", "x", 1, 1), ("=", "=", 1, 3), ("INT", "1", 1, 5), (";", ";", 1, 6),
+      ("EOF", "", 2, 7)]),
+    ("\tx=(1,2)[0]!=3;\r\n\r\n",
+     [("IDENT", "x", 1, 2), ("=", "=", 1, 3), ("(", "(", 1, 4), ("INT", "1", 1, 5),
+      (",", ",", 1, 6), ("INT", "2", 1, 7), (")", ")", 1, 8), ("[", "[", 1, 9),
+      ("INT", "0", 1, 10), ("]", "]", 1, 11), ("!=", "!=", 1, 12), ("INT", "3", 1, 14),
+      (";", ";", 1, 15), ("EOF", "", 3, 1)]),
+    ("x = " + "9" * 1000 + ";",
+     [("IDENT", "x", 1, 1), ("=", "=", 1, 3), ("INT", "9" * 1000, 1, 5),
+      (";", ";", 1, 1005), ("EOF", "", 1, 1006)]),
+], ids=["empty", "crlf", "trailing_comment", "comment_line", "tabs_and_blank_lines",
+        "longest_literal"])
+def test_edited_texts_tokenize_as_pinned(source, expected):
+    assert [tuple(token) for token in tokenize(source)] == expected
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("Task * GPU;\n  x = a $ b;\n",
+     (2, 9, "Syntax error, unexpected character '$'")),
+    ("Task * GPU;\r\n  y = é;", (2, 7, "Syntax error, unexpected character 'é'")),
+    ("x = 1 !\n", (1, 7, "Syntax error, unexpected character '!'")),
+    ("x = 1;\n\ny = " + "9" * 1001 + ";",
+     (3, 5, "Syntax error, integer literal longer than 1000 digits")),
+    ("x = 1 # done", (1, 13, "Syntax error, unexpected end of input, expecting ;")),
+    ("Task * GPU\r\n", (2, 1, "Syntax error, unexpected end of input, expecting ;")),
+    ("Task * GPU;\r\nRegion * * * FBMEM\r\n# end",
+     (3, 6, "Syntax error, unexpected end of input, expecting ;")),
+], ids=["bad_char_line_2", "non_ascii_after_crlf", "lone_bang", "overlong_literal_line_3",
+        "eof_after_comment", "eof_after_crlf", "eof_after_crlf_comment"])
+def test_edited_texts_diagnose_as_pinned(source, expected):
+    assert parse(source) == [Diagnostic("error", *expected)]

@@ -19,6 +19,7 @@ from mapforge.search import (
     Candidate, IterationRecord, ObjectiveSpec, Trajectory, aggregate,
     evaluate_program, exhaustive, hill_climb, random_agent, run, write_csv,
 )
+from mapforge.printer import print_program
 from mapforge.simulator import simulate
 
 from conftest import APP_NAMES, corpus_dsl_files, expert_source, load_app_named
@@ -584,3 +585,88 @@ def test_each_distinct_text_is_evaluated_once_per_run(monkeypatch, machine, cost
     assert len(evaluated) < len(texts)
     run(app, machine, costs, "hillclimb", ObjectiveSpec(budget=40), seed=5)
     assert len(evaluated) == 2 * len(set(texts))
+
+
+# -- one text per distinct choices vector -----------------------------------------
+
+
+def test_each_distinct_vector_is_printed_once_per_run(monkeypatch, machine, costs):
+    app = load_app_named("circuit")
+    printed = []
+
+    def counting(program):
+        printed.append(program)
+        return print_program(program)
+
+    monkeypatch.setattr(search, "print_program", counting)
+    trajectory = run(app, machine, costs, "hillclimb", ObjectiveSpec(budget=60),
+                     seed=5)
+    vectors = [r.candidate.choices for r in trajectory.records]
+    assert len(printed) == len(set(vectors)) < len(vectors)
+
+
+def cycling(*vectors):
+    """A strategy that proposes ``vectors`` in turn."""
+    def propose(history, dims, seed):
+        return {"choices": vectors[len(history) % len(vectors)]}
+    return propose
+
+
+def test_unknown_mapping_function_is_the_same_error_on_every_repeat(machine, costs):
+    app = load_app_named("cannon")
+    dims = decision_dimensions(app)
+    choices = [dim.options[0] for dim in dims]
+    choices[[dim.dim_id[0] for dim in dims].index("imap")] = "no_such_map"
+    trajectory = run(app, machine, costs, cycling(choices), ObjectiveSpec(budget=4))
+    for record in trajectory.records:
+        assert record.candidate == Candidate("", tuple(choices))
+        assert record.feedback.kind == "CompileError"
+        assert record.feedback.system_message == "unknown mapping function no_such_map"
+        assert record.rendered_feedback == trajectory.records[0].rendered_feedback
+
+
+def test_unhashable_options_give_the_same_trajectory(machine, costs):
+    # A memory option given as a list names the same table as the tuple;
+    # the vector cannot key the run's memo, and the run goes on without it.
+    app = load_app_named("circuit")
+    dims = decision_dimensions(app)
+    vectors = [[dim.options[k % len(dim.options)] for dim in dims] for k in (0, 1, 0)]
+    as_lists = [[list(c) if dim.dim_id[0] == "mem" else c for dim, c in zip(dims, v)]
+                for v in vectors]
+    expected = run(app, machine, costs, cycling(*vectors), ObjectiveSpec(budget=6))
+    got = run(app, machine, costs, cycling(*as_lists), ObjectiveSpec(budget=6))
+    for record, reference, vector in zip(got.records, expected.records, as_lists * 2):
+        assert record.candidate.choices == tuple(vector)
+        assert record.candidate.program_text == reference.candidate.program_text
+        assert record.rendered_feedback == reference.rendered_feedback
+        assert (record.score, record.best_so_far) == (reference.score, reference.best_so_far)
+
+
+def test_tables_from_one_index_map_choice_do_not_share_functions():
+    app = load_app_named("cannon")
+    dims = decision_dimensions(app)
+    choices = [dim.options[-1] for dim in dims]
+    first = table_from_choices(app, choices)
+    second = table_from_choices(app, choices)
+    assert first.functions and first.functions == second.functions
+    first.functions.clear()
+    assert table_from_choices(app, choices).functions == second.functions != {}
+
+
+# -- last-resort guard ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("stage, kind", [("parse", "CompileError"),
+                                         ("simulate", "ExecutionError")])
+def test_an_escaping_exception_is_its_steps_failure(monkeypatch, stage, kind,
+                                                     machine, costs):
+    def broken(*args):
+        raise RuntimeError(f"broken {stage}")
+
+    monkeypatch.setattr(search, stage, broken)
+    app = load_app_named("circuit")
+    result, report = evaluate_program(expert_source("circuit"), app, machine, costs)
+    assert result is None
+    assert report == FeedbackReport(kind, f"RuntimeError: broken {stage}")
+    trajectory = run(app, machine, costs, "random", ObjectiveSpec(budget=3))
+    assert [(r.feedback.kind, r.score) for r in trajectory.records] == [(kind, None)] * 3
