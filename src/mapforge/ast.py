@@ -141,7 +141,12 @@ class Align:
     bytes: int
 
 
-# SOA / AOS / C_order / F_order / No_Align are represented as plain strings.
+# The layout keywords, represented as plain strings: a field layout, a
+# dimension order, or No_Align, which clears an alignment.
+FIELD_LAYOUTS = ("SOA", "AOS")
+DIM_ORDERS = ("C_order", "F_order")
+LAYOUT_KEYWORDS = FIELD_LAYOUTS + DIM_ORDERS + ("No_Align",)
+
 LayoutConstraint = Union[str, Align]
 
 

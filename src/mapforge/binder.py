@@ -22,33 +22,35 @@ program with ``emit``; ``resolve(emit(table))`` reproduces the table.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ast import (
-    Align, AssignStmt, CollectStmt, Diagnostic, FuncDef, IndexTaskMapStmt,
-    InstanceLimitStmt, LayoutStmt, MapperProgram, RegionStmt,
-    SingleTaskMapStmt, TaskStmt, WILDCARD,
+    DIM_ORDERS, FIELD_LAYOUTS, Align, AssignStmt, CollectStmt, Diagnostic,
+    FuncDef, IndexTaskMapStmt, InstanceLimitStmt, LayoutStmt, MapperProgram,
+    RegionStmt, SingleTaskMapStmt, TaskStmt, WILDCARD,
 )
 from .configs import ApplicationDescriptor
 from .evaluator import builtin_program
 from .machine import MachineModel
 from .validator import expr_names, free_names
 
-LAYOUT_COMBOS = (("SOA", "C_order"), ("SOA", "F_order"),
-                 ("AOS", "C_order"), ("AOS", "F_order"))
-
-
 @dataclass(frozen=True)
 class LayoutChoice:
-    aos_or_soa: str = "SOA"
-    order: str = "C_order"
+    aos_or_soa: str = FIELD_LAYOUTS[0]
+    order: str = DIM_ORDERS[0]
     align: Optional[tuple[str, int]] = None
 
 
 DEFAULT_LAYOUT = LayoutChoice()
+
+# The options of a layout decision dimension: every field layout with
+# every dimension order.
+LAYOUT_OPTIONS = tuple(itertools.starmap(
+    LayoutChoice, itertools.product(FIELD_LAYOUTS, DIM_ORDERS)))
 
 
 @dataclass(frozen=True)
@@ -197,9 +199,9 @@ def _layout_choice(stmt: Optional[LayoutStmt]) -> LayoutChoice:
     order = DEFAULT_LAYOUT.order
     align = None
     for constraint in stmt.constraints:
-        if constraint in ("SOA", "AOS"):
+        if constraint in FIELD_LAYOUTS:
             aos_or_soa = constraint
-        elif constraint in ("C_order", "F_order"):
+        elif constraint in DIM_ORDERS:
             order = constraint
         elif isinstance(constraint, Align):
             align = (constraint.op, constraint.bytes)
@@ -260,9 +262,8 @@ def decision_dimensions(app: ApplicationDescriptor) -> list[DecisionDimension]:
             dims.append(DecisionDimension(("mem", task.name, arg.region), options))
     for task in app.tasks:
         for arg in task.args:
-            dims.append(DecisionDimension(
-                ("layout", task.name, arg.region),
-                tuple(LayoutChoice(soa, order) for soa, order in LAYOUT_COMBOS)))
+            dims.append(DecisionDimension(("layout", task.name, arg.region),
+                                          LAYOUT_OPTIONS))
     for task in app.tasks:
         if task.map_options:
             dims.append(DecisionDimension(("imap", task.name), task.map_options))

@@ -5,8 +5,8 @@ All three are YAML files with fixed schemas (see docs/file_formats.md):
 * ``.app``      application descriptor: tasks, region arguments, launch
                 domains, variants, exchange rules, search-option domains
 * ``.machine``  machine model: nodes, processor kinds, memories, bandwidth
-* ``.costs``    cost parameters: penalty factors plus optional overrides
-                for machine rates/latencies/bandwidth
+* ``.costs``    cost parameters: penalty factors (machine rates,
+                latencies and bandwidths live in the machine model)
 
 Loaders validate eagerly and report problems as Diagnostics whose
 messages carry the offending field path.
@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 import yaml
 
-from .ast import IDENT, MEM_ALIASES, MEM_KINDS, PROC_KINDS, Diagnostic
+from .ast import (
+    DIM_ORDERS, FIELD_LAYOUTS, IDENT, MEM_ALIASES, MEM_KINDS, PROC_KINDS, Diagnostic,
+)
 from .machine import MachineModel
-
-LAYOUT_SOA = ("SOA", "AOS", "any")
-LAYOUT_ORDER = ("C_order", "F_order", "any")
 
 
 # --------------------------------------------------------------------------
@@ -115,9 +114,6 @@ class CostParams:
     aos_gpu_penalty: float = 4.0
     misalign_penalty: float = 2.0
     zcmem_gpu_penalty: float = 8.0
-    compute_rate: Mapping[str, float] = field(default_factory=dict)
-    latency: Mapping[str, float] = field(default_factory=dict)
-    bandwidth: Mapping[tuple[str, str, bool], float] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -147,6 +143,8 @@ def _require(mapping: dict, key: str, path: str):
 
 
 def _check_known(mapping: dict, known: tuple[str, ...], path: str):
+    if not isinstance(mapping, dict):
+        raise _SchemaError(path, "expected a mapping")
     for key in mapping:
         if key not in known:
             where = f"{path}.{key}" if path else key
@@ -178,7 +176,16 @@ def _as_number(value, path: str, positive: bool = True) -> float:
         raise _SchemaError(path, "expected a number")
     if positive and value <= 0:
         raise _SchemaError(path, "must be positive")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise _SchemaError(path, "number out of range") from None
+
+
+def _as_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise _SchemaError(path, "expected true or false")
+    return value
 
 
 def _as_int(value, path: str, positive: bool = True) -> int:
@@ -301,8 +308,9 @@ def _parse_task(data: dict, path: str, regions: dict[str, RegionSpec]) -> TaskSp
         _check_known(spec, ("layout", "order"), vpath)
         variants.append(VariantSpec(
             proc,
-            _as_str(spec.get("layout", "any"), f"{vpath}.layout", LAYOUT_SOA),
-            _as_str(spec.get("order", "any"), f"{vpath}.order", LAYOUT_ORDER),
+            _as_str(spec.get("layout", "any"), f"{vpath}.layout",
+                    FIELD_LAYOUTS + ("any",)),
+            _as_str(spec.get("order", "any"), f"{vpath}.order", DIM_ORDERS + ("any",)),
         ))
     variant_procs = {v.proc for v in variants}
     for proc in procs:
@@ -360,7 +368,7 @@ def _parse_exchange(data: dict, path: str,
     axis = _as_int(data.get("axis", 0), f"{path}.axis", positive=False)
     if pattern == "alltoall" and not 0 <= axis < rank:
         raise _SchemaError(f"{path}.axis", f"axis {axis} out of range for rank {rank}")
-    wrap = bool(data.get("wrap", False))
+    wrap = _as_bool(data.get("wrap", False), f"{path}.wrap")
     return ExchangeRule(task, region, pattern, bytes_pp, offsets, axis, wrap)
 
 
@@ -398,28 +406,14 @@ def load_app(path: Union[str, Path]) -> ApplicationDescriptor | list[Diagnostic]
 # Machine model
 # --------------------------------------------------------------------------
 
-_MACHINE_FIELDS = ("name", "nodes", "procs", "memories", "bandwidth")
+_MACHINE_FIELDS = ("name", "nodes", "procs", "memories", "defaults", "bandwidth")
 _BANDWIDTH_FIELDS = ("src", "dst", "same_node", "rate")
-
-
-def _parse_bandwidth_entries(entries, path: str) -> dict[tuple[str, str, bool], float]:
-    table: dict[tuple[str, str, bool], float] = {}
-    for i, entry in enumerate(_as_list(entries, path)):
-        epath = f"{path}[{i}]"
-        _check_known(entry, _BANDWIDTH_FIELDS, epath)
-        src = _mem_kind(_require(entry, "src", epath), f"{epath}.src")
-        dst = _mem_kind(_require(entry, "dst", epath), f"{epath}.dst")
-        same = bool(_require(entry, "same_node", epath))
-        rate = _as_number(_require(entry, "rate", epath), f"{epath}.rate")
-        table[(src, dst, same)] = rate
-        table[(dst, src, same)] = rate  # bandwidth is symmetric
-    return table
 
 
 def load_machine(path: Union[str, Path]) -> MachineModel | list[Diagnostic]:
     try:
         data = _load_mapping(path)
-        _check_known(data, _MACHINE_FIELDS + ("defaults",), "")
+        _check_known(data, _MACHINE_FIELDS, "")
         name = _as_str(_require(data, "name", ""), "name")
         nodes = _as_int(_require(data, "nodes", ""), "nodes")
         proc_counts: dict[str, int] = {}
@@ -459,19 +453,19 @@ def load_machine(path: Union[str, Path]) -> MachineModel | list[Diagnostic]:
         _check_known(defaults, ("same_node_bandwidth", "cross_node_bandwidth"),
                      "defaults")
         table: dict[tuple[str, str, bool], float] = {}
-        same_default = defaults.get("same_node_bandwidth")
-        cross_default = defaults.get("cross_node_bandwidth")
-        if same_default is not None:
-            same_default = _as_number(same_default, "defaults.same_node_bandwidth")
-        if cross_default is not None:
-            cross_default = _as_number(cross_default, "defaults.cross_node_bandwidth")
-        for src in mem_capacity:
-            for dst in mem_capacity:
-                if same_default is not None:
-                    table[(src, dst, True)] = same_default
-                if cross_default is not None:
-                    table[(src, dst, False)] = cross_default
-        table.update(_parse_bandwidth_entries(data.get("bandwidth", []), "bandwidth"))
+        for same, key in ((True, "same_node_bandwidth"), (False, "cross_node_bandwidth")):
+            if defaults.get(key) is not None:
+                value = _as_number(defaults[key], f"defaults.{key}")
+                table.update(((src, dst, same), value)
+                             for src in mem_capacity for dst in mem_capacity)
+        for i, entry in enumerate(_as_list(data.get("bandwidth", []), "bandwidth")):
+            epath = f"bandwidth[{i}]"
+            _check_known(entry, _BANDWIDTH_FIELDS, epath)
+            src = _mem_kind(_require(entry, "src", epath), f"{epath}.src")
+            dst = _mem_kind(_require(entry, "dst", epath), f"{epath}.dst")
+            same = _as_bool(_require(entry, "same_node", epath), f"{epath}.same_node")
+            value = _as_number(_require(entry, "rate", epath), f"{epath}.rate")
+            table[(src, dst, same)] = table[(dst, src, same)] = value  # symmetric
         return MachineModel(name, nodes, proc_counts, mem_capacity, table,
                             latency, rate, concurrency)
     except _LOAD_ERRORS as exc:
@@ -482,8 +476,7 @@ def load_machine(path: Union[str, Path]) -> MachineModel | list[Diagnostic]:
 # Cost parameters
 # --------------------------------------------------------------------------
 
-_COST_FIELDS = ("aos_gpu_penalty", "misalign_penalty", "zcmem_gpu_penalty",
-                "compute_rate", "latency", "bandwidth")
+_COST_FIELDS = ("aos_gpu_penalty", "misalign_penalty", "zcmem_gpu_penalty")
 
 
 def load_costs(path: Union[str, Path]) -> CostParams | list[Diagnostic]:
@@ -491,18 +484,13 @@ def load_costs(path: Union[str, Path]) -> CostParams | list[Diagnostic]:
         data = _load_mapping(path)
         _check_known(data, _COST_FIELDS, "")
         penalties = {}
-        for key in ("aos_gpu_penalty", "misalign_penalty", "zcmem_gpu_penalty"):
-            if key in data:
-                value = _as_number(data[key], key)
-                if value < 1:
-                    raise _SchemaError(key, "penalty factors must be >= 1")
-                penalties[key] = value
-        rate = {_proc_kind(k, f"compute_rate.{k}"): _as_number(v, f"compute_rate.{k}")
-                for k, v in (data.get("compute_rate") or {}).items()}
-        latency = {_proc_kind(k, f"latency.{k}"): _as_number(v, f"latency.{k}")
-                   for k, v in (data.get("latency") or {}).items()}
-        bandwidth = _parse_bandwidth_entries(data.get("bandwidth", []), "bandwidth")
-        return CostParams(compute_rate=rate, latency=latency, bandwidth=bandwidth,
-                          **penalties)
+        for key in _COST_FIELDS:
+            if key not in data:
+                continue
+            value = _as_number(data[key], key)
+            if value < 1:
+                raise _SchemaError(key, "penalty factors must be >= 1")
+            penalties[key] = value
+        return CostParams(**penalties)
     except _LOAD_ERRORS as exc:
         return _diag(exc)

@@ -53,7 +53,9 @@ from .ast import (
     MachineExpr, MapperProgram, MethodCall, Name, ReturnStmt, Splat, Subscript,
     Ternary, TupleLit, entry_signature_error,
 )
-from .machine import MachineModel, ProcIndex, ProcessorSpace, SpaceError, machine_space
+from .machine import (
+    SPACE_METHODS, MachineModel, ProcIndex, ProcessorSpace, SpaceError, machine_space,
+)
 
 
 class EvalError(ValueError):
@@ -401,32 +403,28 @@ def _eval_attr(expr: Attr, env: EvalEnv) -> Value:
     raise EvalError(f"values of kind {_kind(base)} have no attribute .{expr.name}")
 
 
+# Per space method, one check per argument, taking its role from
+# SPACE_METHODS: "split dimension must be an integer, got tuple".
+_SPACE_CHECKS = {
+    method: tuple(functools.partial(_expect_tuple if role == "shape" else _expect_int,
+                                    what=f"{method} {role}")
+                  for role in roles)
+    for method, roles in SPACE_METHODS.items()}
+
+
 def _eval_method(expr: MethodCall, env: EvalEnv) -> Value:
     base = eval_expr(expr.base, env)
     args = [eval_expr(a, env) for a in expr.args]
     if isinstance(base, ProcessorSpace):
         args = [_uniform(a) for a in args]
-        try:
-            if expr.method == "split":
-                return base.split(_expect_int(args[0], "split dimension"),
-                                  _expect_int(args[1], "split factor"))
-            if expr.method == "merge":
-                return base.merge(_expect_int(args[0], "merge dimension"),
-                                  _expect_int(args[1], "merge dimension"))
-            if expr.method == "swap":
-                return base.swap(_expect_int(args[0], "swap dimension"),
-                                 _expect_int(args[1], "swap dimension"))
-            if expr.method == "slice":
-                return base.slice(_expect_int(args[0], "slice dimension"),
-                                  _expect_int(args[1], "slice bound"),
-                                  _expect_int(args[2], "slice bound"))
-            if expr.method == "decompose":
-                shape = _expect_tuple(args[1], "decompose shape")
-                return base.decompose(_expect_int(args[0], "decompose dimension"),
-                                      shape)
-        except IndexError:
+        checks = _SPACE_CHECKS.get(expr.method)
+        if checks is None:
+            raise EvalError(f"processor spaces have no method .{expr.method}()")
+        for check, arg in zip(checks, args):
+            check(arg)
+        if len(args) < len(checks):
             raise EvalError(f"wrong number of arguments for .{expr.method}()")
-        raise EvalError(f"processor spaces have no method .{expr.method}()")
+        return getattr(base, expr.method)(*args[:len(checks)])  # extras ignored
     if isinstance(base, TaskHandle):
         if expr.method == "processor":
             if len(args) != 1 or not isinstance(args[0], ProcessorSpace):

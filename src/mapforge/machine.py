@@ -4,7 +4,7 @@ A machine's processors of one kind form a base 2-D grid of
 (nodes, processors per node).  A :class:`ProcessorSpace` is a view of
 that grid reshaped by a chain of split / merge / swap / slice steps.
 Each step maps indices of the transformed space back to indices of the
-space it was built from:
+space it was built from, and that forward map is its one implementation:
 
     split(i, d):         b[i] = a[i] + a[i+1] * d
     merge(p, q), p < q:  b[p] = a[p] % inner,  b[q] = a[p] / inner
@@ -18,7 +18,7 @@ truncates toward zero; all indices in range are nonnegative, so this
 matches floor division.  split/merge/swap are bijections, slice is an
 injection, and chains compose lazily: spaces are cheap values, and
 ``lookup_all`` walks the chain backwards over an array of indices
-(``lookup`` is its one-row case).
+(``lookup`` is its one-row case, and ``index_of`` searches its rows).
 
 Spaces and steps are hashable slotted dataclasses that no code mutates
 after construction.  They are not frozen, because a frozen dataclass
@@ -62,10 +62,6 @@ class MachineModel:
     def count(self, kind: str) -> int:
         return int(self.proc_counts.get(kind, 0))
 
-    def bandwidth_for(self, src: str, dst: str, same_node: bool) -> float:
-        # The loader stores both directions of each symmetric entry.
-        return self.bandwidth[(src, dst, same_node)]
-
 
 @dataclass(frozen=True)
 class ProcIndex:
@@ -73,10 +69,21 @@ class ProcIndex:
     local: int
 
 
+# The processor-space methods of the DSL and the role of each argument,
+# in order: a "shape" is a tuple of extents, every other role an integer.
+SPACE_METHODS = {
+    "split": ("dimension", "factor"),
+    "merge": ("dimension", "dimension"),
+    "swap": ("dimension", "dimension"),
+    "slice": ("dimension", "bound", "bound"),
+    "decompose": ("dimension", "shape"),
+}
+
+
 # --------------------------------------------------------------------------
 # Transformation steps.  ``to_parent_columns`` maps the index columns of
 # the transformed space (one integer array per dimension) to those of the
-# space it was built from; ``from_parent`` maps one index back.
+# space it was built from.
 # --------------------------------------------------------------------------
 
 
@@ -98,10 +105,6 @@ class Split(_Step):
         i, d = self.dim, self.factor
         return cols[:i] + [cols[i] + cols[i + 1] * d] + cols[i + 2:]
 
-    def from_parent(self, idx: list[int]) -> list[int]:
-        i, d = self.dim, self.factor
-        return idx[:i] + [idx[i] % d, idx[i] // d] + idx[i + 1:]
-
 
 @dataclass(unsafe_hash=True, slots=True)
 class Merge(_Step):
@@ -116,13 +119,6 @@ class Merge(_Step):
         out.insert(q, cols[p] // inner)
         return out
 
-    def from_parent(self, idx: list[int]) -> list[int]:
-        p, q, inner = self.p, self.q, self.inner
-        out = list(idx)
-        out[p] = idx[p] + inner * idx[q]
-        del out[q]
-        return out
-
 
 @dataclass(unsafe_hash=True, slots=True)
 class Swap(_Step):
@@ -134,9 +130,6 @@ class Swap(_Step):
         out[self.p], out[self.q] = out[self.q], out[self.p]
         return out
 
-    def from_parent(self, idx: list[int]) -> list[int]:
-        return self.to_parent_columns(idx)  # a swap is its own inverse
-
 
 @dataclass(unsafe_hash=True, slots=True)
 class Slice(_Step):
@@ -147,16 +140,6 @@ class Slice(_Step):
     def to_parent_columns(self, cols: list) -> list:
         out = list(cols)
         out[self.dim] = cols[self.dim] + self.low
-        return out
-
-    def from_parent(self, idx: list[int]) -> list[int]:
-        value = idx[self.dim] - self.low
-        if not 0 <= value <= self.high - self.low:
-            raise SpaceError(
-                f"processor index {idx[self.dim]} lies outside the slice "
-                f"[{self.low}, {self.high}] in dimension {self.dim}")
-        out = list(idx)
-        out[self.dim] = value
         return out
 
 
@@ -270,7 +253,8 @@ class ProcessorSpace:
         return np.stack(cols, axis=1)
 
     def index_of(self, proc: ProcIndex) -> tuple[int, ...]:
-        """Inverse of ``lookup``: find this space's index of a base processor.
+        """Inverse of ``lookup``: find this space's index of a base processor
+        among the lookups of all of the space's indices.
 
         Raises SpaceError when the processor is outside a sliced range.
         """
@@ -279,10 +263,13 @@ class ProcessorSpace:
             raise SpaceError(
                 f"processor ({proc.node}, {proc.local}) is not within the "
                 f"base space of size {self.base_dims}")
-        idx = [proc.node, proc.local]
-        for step in self.chain:
-            idx = step.from_parent(idx)
-        return tuple(idx)
+        indices = np.indices(self.dims).reshape(self.rank, -1).T
+        hit = (self.lookup_all(indices) == (proc.node, proc.local)).all(axis=1)
+        if not hit.any():
+            raise SpaceError(
+                f"processor ({proc.node}, {proc.local}) lies outside the slice "
+                f"of size {self.dims}")
+        return tuple(indices[np.argmax(hit)].tolist())
 
 
 def machine_space(model: MachineModel, kind: str) -> ProcessorSpace:

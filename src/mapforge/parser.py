@@ -60,7 +60,8 @@ import string
 from typing import NamedTuple
 
 from .ast import (
-    ALIGN_OPS, COMPARE_OPS, IDENT, MEM_ALIASES, MEM_KINDS, PROC_KINDS, WILDCARD,
+    ALIGN_OPS, COMPARE_OPS, IDENT, LAYOUT_KEYWORDS, MEM_ALIASES, MEM_KINDS,
+    PROC_KINDS, WILDCARD,
     Align, AssignStmt, Attr, BinOp, Call, CollectStmt, Diagnostic, Expr,
     FuncDef, IndexTaskMapStmt, InstanceLimitStmt, IntLit, LayoutStmt,
     LocalAssign, MachineExpr, MapperProgram, MethodCall, Name, Param,
@@ -69,8 +70,6 @@ from .ast import (
 )
 
 PARAM_KINDS = ("Task", "Tuple", "int")
-
-LAYOUT_KEYWORDS = ("SOA", "AOS", "C_order", "F_order", "No_Align")
 
 MAX_NESTING = 100
 

@@ -316,13 +316,22 @@ def run(app: ApplicationDescriptor, machine: MachineModel, costs: CostParams,
 
 def _propose(strategy_fn, history, dims, seed, app, printed,
              ) -> tuple[Candidate, Optional[FeedbackReport]]:
+    """The candidate a strategy proposes, and the compile error that ends
+    it before evaluation, if any: an adapter error, a proposal of neither
+    form, or a choices vector that gives no program."""
     try:
         proposal = strategy_fn(history, dims, seed)
     except AdapterError as exc:
         return Candidate(program_text=""), FeedbackReport("CompileError", str(exc))
-    if "choices" not in proposal:
-        return Candidate(program_text=proposal["program"]), None
-    choices = tuple(proposal["choices"])
+    try:
+        if "choices" not in proposal:
+            text = proposal["program"]
+            if not isinstance(text, str):
+                raise TypeError(f"program must be a string, not {type(text).__name__}")
+            return Candidate(program_text=text), None
+        choices = tuple(proposal["choices"])
+    except Exception as exc:
+        return Candidate(program_text=""), FeedbackReport("CompileError", _escaped(exc))
     try:
         outcome = printed[choices]
     except KeyError:
@@ -335,13 +344,16 @@ def _propose(strategy_fn, history, dims, seed, app, printed,
 
 
 def _print_choices(app, choices, dims) -> Union[str, FeedbackReport]:
-    """The program text of one choices vector, or the compile error its
-    table raised."""
+    """The program text of one choices vector, or the compile error that
+    building, emitting or printing its table raised: the message of a
+    ValueError (the binder's own errors), ``TypeName: text`` of any other
+    exception."""
     try:
-        table = _table_from_choices(app, choices, dims)
+        return print_program(emit(_table_from_choices(app, choices, dims), app))
     except ValueError as exc:
         return FeedbackReport("CompileError", str(exc))
-    return print_program(emit(table, app))
+    except Exception as exc:
+        return FeedbackReport("CompileError", _escaped(exc))
 
 
 # --------------------------------------------------------------------------

@@ -109,26 +109,8 @@ SimError = Union[OutOfMemory, LayoutMismatch, MappingError]
 
 
 # --------------------------------------------------------------------------
-# Parameter resolution
+# Penalties
 # --------------------------------------------------------------------------
-
-
-class _Costs:
-    def __init__(self, machine: MachineModel, params: CostParams):
-        self.machine = machine
-        self.params = params
-
-    def rate(self, kind: str) -> float:
-        return self.params.compute_rate.get(kind) or self.machine.compute_rate[kind]
-
-    def latency(self, kind: str) -> float:
-        return self.params.latency.get(kind) or self.machine.latency[kind]
-
-    def bandwidth(self, src: str, dst: str, same_node: bool) -> float:
-        key = (src, dst, same_node)
-        if key in self.params.bandwidth:
-            return self.params.bandwidth[key]
-        return self.machine.bandwidth_for(src, dst, same_node)
 
 
 def _layout_penalty(table: MappingDecisionTable, task: TaskSpec, proc: str,
@@ -315,8 +297,6 @@ def simulate(app: ApplicationDescriptor, table: MappingDecisionTable,
                 kind = "dgemm" if app.metric == "gflops" else "stride"
                 return LayoutMismatch(task.name, arg.region, kind)
 
-    costs = _Costs(machine, params)
-
     # Compute time per processor; a processor is (kind, node, local).
     # Each task's total sums its processors in the order its row-major
     # points first reach them (Counter keeps first-insertion order).
@@ -326,7 +306,7 @@ def simulate(app: ApplicationDescriptor, table: MappingDecisionTable,
         kind = table.task_proc[task.name]
         lay_pen = _layout_penalty(table, task, kind, params)
         mem_pen = _memory_penalty(table, placement, task, kind, params)
-        point_time = task.flops_per_point / costs.rate(kind) * lay_pen * mem_pen
+        point_time = task.flops_per_point / machine.compute_rate[kind] * lay_pen * mem_pen
         width = machine.concurrency.get(kind, 1)
         limit = table.instance_limit.get(task.name)
         if limit is not None:
@@ -336,7 +316,7 @@ def simulate(app: ApplicationDescriptor, table: MappingDecisionTable,
         task_total = 0.0
         for proc, n_points in points_per_proc.items():
             waves = -(-n_points // width)
-            t = waves * costs.latency(kind) + n_points * point_time
+            t = waves * machine.latency[kind] + n_points * point_time
             key = (kind, proc // count, proc % count)
             proc_time[key] = proc_time.get(key, 0.0) + t
             task_total += t
@@ -351,7 +331,7 @@ def simulate(app: ApplicationDescriptor, table: MappingDecisionTable,
         mems = placement.get((task.name, rule.region), {})
         count = machine.count(table.task_proc[task.name])
         _charge_exchange(rule, task.domain, assignment[task.name], count,
-                         mems, costs, machine.nodes, totals)
+                         mems, machine, totals)
     link_time = totals[:-1].tolist()
     inter_node_bytes = float(totals[-1])
 
@@ -428,7 +408,7 @@ def _pair_chunks(rule: ExchangeRule, domain: tuple[int, ...]):
 
 def _charge_exchange(rule: ExchangeRule, domain: tuple[int, ...],
                      procs: np.ndarray, count: int, mems: Mapping[int, str],
-                     costs: _Costs, nodes: int, totals: np.ndarray) -> None:
+                     machine: MachineModel, totals: np.ndarray) -> None:
     """Add one exchange's link times and inter-node bytes to ``totals``.
 
     Pairs on one processor are free, as are same-node pairs within one
@@ -439,6 +419,7 @@ def _charge_exchange(rule: ExchangeRule, domain: tuple[int, ...],
     same to the bit.
     """
     ids = _proc_ids(procs, count)
+    nodes = machine.nodes
     # Per route (source node * nodes + destination node): the link time
     # of one pair and its slot in ``totals``, -1 for a free route.
     route_time = np.zeros(nodes * nodes)
@@ -451,7 +432,7 @@ def _charge_exchange(rule: ExchangeRule, domain: tuple[int, ...],
         routes = src_node * nodes + dst_node
         for route in set(np.flatnonzero(np.bincount(routes)).tolist()) - known:
             route_time[route], route_slot[route] = _route_weight(
-                rule, divmod(route, nodes), mems, costs, nodes)
+                rule, divmod(route, nodes), mems, machine)
             known.add(route)
         slot = route_slot[routes]
         charged = slot >= 0
@@ -461,7 +442,7 @@ def _charge_exchange(rule: ExchangeRule, domain: tuple[int, ...],
 
 
 def _route_weight(rule: ExchangeRule, route: tuple[int, int],
-                  mems: Mapping[int, str], costs: _Costs, nodes: int,
+                  mems: Mapping[int, str], machine: MachineModel,
                   ) -> tuple[float, int]:
     """(link time, link slot) of one pair from node ``src`` to ``dst``;
     slot -1 when the pair shares one buffer and costs nothing."""
@@ -471,5 +452,5 @@ def _route_weight(rule: ExchangeRule, route: tuple[int, int],
     dst_mem = mems.get(dst, "SYSMEM")
     if same_node and src_mem == dst_mem and src_mem in NODE_SHARED_MEMS:
         return 0.0, -1
-    bw = costs.bandwidth(src_mem, dst_mem, same_node)
-    return rule.bytes_per_point / bw, min(src, dst) * nodes + max(src, dst)
+    bw = machine.bandwidth[(src_mem, dst_mem, same_node)]
+    return rule.bytes_per_point / bw, min(src, dst) * machine.nodes + max(src, dst)

@@ -15,12 +15,13 @@ is left to evaluation time.
 from __future__ import annotations
 
 from .ast import (
-    COMPARE_OPS, Align, AssignStmt, Attr, BinOp, Call, Diagnostic, Expr, FuncDef,
-    IndexTaskMapStmt, InstanceLimitStmt, IntLit, LayoutStmt, LocalAssign,
-    MachineExpr, MapperProgram, MethodCall, Name, RegionStmt, ReturnStmt,
-    SingleTaskMapStmt, Splat, Subscript, TaskStmt, Ternary, TupleLit,
-    entry_signature_error,
+    COMPARE_OPS, DIM_ORDERS, FIELD_LAYOUTS, Align, AssignStmt, Attr, BinOp, Call,
+    Diagnostic, Expr, FuncDef, IndexTaskMapStmt, InstanceLimitStmt, IntLit,
+    LayoutStmt, LocalAssign, MachineExpr, MapperProgram, MethodCall, Name,
+    RegionStmt, ReturnStmt, SingleTaskMapStmt, Splat, Subscript, TaskStmt,
+    Ternary, TupleLit, entry_signature_error,
 )
+from .machine import SPACE_METHODS
 
 # Most calls a chain of nested calls may hold, counted from a mapping
 # function or a top-level binding.  A body nested ``MAX_NESTING`` levels
@@ -28,8 +29,6 @@ from .ast import (
 # both at that limit take about 780 of Python's default 1000; one more
 # level would not fit.
 MAX_CALL_DEPTH = 1
-
-SPACE_METHODS = ("split", "merge", "swap", "slice", "decompose")
 
 
 def _pos(node) -> tuple[int, int]:
@@ -246,15 +245,12 @@ def validate(program: MapperProgram) -> list[Diagnostic]:
             if stmt.limit < 1:
                 diagnostics.append(_error(stmt, "instance limit must be at least 1"))
         elif isinstance(stmt, LayoutStmt):
-            soa = [c for c in stmt.constraints if c in ("SOA", "AOS")]
-            order = [c for c in stmt.constraints if c in ("C_order", "F_order")]
+            for keywords in (FIELD_LAYOUTS, DIM_ORDERS):
+                if sum(c in keywords for c in stmt.constraints) > 1:
+                    diagnostics.append(_error(
+                        stmt, f"conflicting layout constraints: at most one of "
+                              f"{', '.join(keywords)}"))
             aligns = [c for c in stmt.constraints if isinstance(c, Align)]
-            if len(soa) > 1:
-                diagnostics.append(_error(
-                    stmt, "conflicting layout constraints: at most one of SOA, AOS"))
-            if len(order) > 1:
-                diagnostics.append(_error(
-                    stmt, "conflicting layout constraints: at most one of C_order, F_order"))
             if len(aligns) > 1:
                 diagnostics.append(_error(
                     stmt, "conflicting layout constraints: at most one Align"))

@@ -1,0 +1,165 @@
+import copy
+import re
+from pathlib import Path
+
+import hypothesis.strategies as st
+import pytest
+import yaml
+from hypothesis import given, settings
+
+from mapforge.configs import (
+    ApplicationDescriptor, CostParams, load_app, load_costs, load_machine, load_yaml,
+)
+from mapforge.evaluator import corpus_path
+from mapforge.feedback import load_rules
+from mapforge.machine import MachineModel
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "file_formats.md"
+
+APP = corpus_path("apps", "stencil.app")
+MACHINE = corpus_path("machines", "p100-cluster.machine")
+COSTS = corpus_path("costs", "default.costs")
+
+LOADERS = {load_app: ApplicationDescriptor, load_machine: MachineModel,
+           load_costs: CostParams}
+
+
+def load_edited(loader, base, path, edit):
+    """Load the descriptor ``base`` after ``edit`` changed its data."""
+    data = load_yaml(base)
+    edit(data)
+    path.write_text(yaml.safe_dump(data))
+    return loader(path)
+
+
+def messages(result):
+    assert isinstance(result, list), result
+    return [d.message for d in result]
+
+
+# -- the documented examples ----------------------------------------------------
+
+
+def test_every_documented_yaml_example_loads(tmp_path):
+    # Each ```yaml block is loaded by the loader of the section it is in.
+    loaders = {"`.app`": load_app, "`.machine`": load_machine,
+               "`.costs`": load_costs, "`feedback_rules.cfg`": load_rules}
+    loaded = []
+    for section in re.split(r"^## ", DOCS.read_text(), flags=re.M):
+        for block in re.findall(r"^```yaml\n(.*?)^```", section, flags=re.M | re.S):
+            heading = section.splitlines()[0]
+            loader = next(f for key, f in loaders.items() if key in heading)
+            path = tmp_path / "example.yaml"
+            path.write_text(block)
+            result = loader(path)  # load_rules raises on a bad file
+            assert isinstance(result, {**LOADERS, load_rules: list}[loader]), result
+            loaded.append(loader)
+    assert sorted(f.__name__ for f in loaded) == sorted(f.__name__ for f in loaders.values())
+
+
+def test_an_unsigned_exponent_is_not_a_number(tmp_path):
+    path = tmp_path / "x.costs"
+    path.write_text("aos_gpu_penalty: 1.0e9\n")
+    assert messages(load_costs(path)) == ["aos_gpu_penalty: expected a number"]
+    path.write_text("aos_gpu_penalty: 1.0e+9\n")
+    assert load_costs(path) == CostParams(aos_gpu_penalty=1e9)
+
+
+# -- schema errors ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["compute_rate", "latency", "bandwidth"])
+def test_costs_do_not_override_the_machine(tmp_path, field):
+    result = load_edited(load_costs, COSTS, tmp_path / "x.costs",
+                         lambda data: data.update({field: {}}))
+    assert messages(result) == [f"unknown field: {field}"]
+
+
+def _set(*keys, value):
+    def edit(data):
+        for key in keys[:-1]:
+            data = data[key]
+        data[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("loader, base, edit, where", [
+    (load_machine, MACHINE, _set("procs", "GPU", value=4), "procs.GPU"),
+    (load_machine, MACHINE, _set("memories", "SYSMEM", value=5), "memories.SYSMEM"),
+    (load_machine, MACHINE, _set("defaults", value=5), "defaults"),
+    (load_machine, MACHINE, _set("bandwidth", value=[5]), "bandwidth[0]"),
+    (load_app, APP, _set("regions", value=[5]), "regions[0]"),
+    (load_app, APP, _set("tasks", value=[5]), "tasks[0]"),
+    (load_app, APP, _set("tasks", 0, "args", value=[5]), "tasks[0].args[0]"),
+    (load_app, APP, _set("tasks", 0, "variants", "GPU", value=5), "tasks[0].variants.GPU"),
+    (load_app, APP, _set("exchanges", value=[7]), "exchanges[0]"),
+])
+def test_a_non_mapping_where_a_mapping_belongs(tmp_path, loader, base, edit, where):
+    result = load_edited(loader, base, tmp_path / "x.yaml", edit)
+    assert messages(result) == [f"{where}: expected a mapping"]
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_flags_take_only_true_or_false(tmp_path, value):
+    result = load_edited(load_app, APP, tmp_path / "x.app",
+                         _set("exchanges", 0, "wrap", value=value))
+    assert messages(result) == ["exchanges[0].wrap: expected true or false"]
+    result = load_edited(load_machine, MACHINE, tmp_path / "x.machine",
+                         _set("bandwidth", 0, "same_node", value=value))
+    assert messages(result) == ["bandwidth[0].same_node: expected true or false"]
+
+
+def test_an_integer_past_the_float_range(tmp_path):
+    result = load_edited(load_costs, COSTS, tmp_path / "x.costs",
+                         _set("misalign_penalty", value=10 ** 400))
+    assert messages(result) == ["misalign_penalty: number out of range"]
+
+
+# -- totality ---------------------------------------------------------------------
+
+_KEYS = st.sampled_from(["name", "tasks", "regions", "procs", "memories", "GPU",
+                         "SYSMEM", "args", "variants", "bandwidth", "wrap"])
+_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | _KEYS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_KEYS | st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _assert_total(loader, data, path):
+    path.write_text(yaml.safe_dump(data))
+    result = loader(path)
+    assert isinstance(result, (list, LOADERS[loader])), result
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(LOADERS)), _TREES)
+def test_a_random_tree_loads_or_is_diagnosed(tmp_path_factory, loader, tree):
+    _assert_total(loader, tree, tmp_path_factory.getbasetemp() / "tree.yaml")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(load_app, load_yaml(p))
+                        for p in sorted(corpus_path("apps").glob("*.app"))]
+                       + [(load_machine, load_yaml(MACHINE)),
+                          (load_costs, load_yaml(COSTS))]),
+       st.data())
+def test_a_descriptor_with_a_random_subtree_loads_or_is_diagnosed(
+        tmp_path_factory, base, data):
+    loader, tree = base
+    tree = copy.deepcopy(tree)
+    keys = data.draw(st.sampled_from(list(_paths(tree))[1:]))
+    node = tree
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = data.draw(_TREES)
+    _assert_total(loader, tree, tmp_path_factory.getbasetemp() / "mutant.yaml")

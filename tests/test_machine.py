@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mapforge.machine import (
-    Merge, ProcIndex, ProcessorSpace, SpaceError, default_machine,
+    SPACE_METHODS, Merge, ProcIndex, ProcessorSpace, SpaceError, default_machine,
     machine_space,
 )
 
@@ -145,6 +146,14 @@ def test_index_of_inverts_lookup():
               base(8, 4).split(1, 2).merge(0, 2).slice(0, 3, 12).swap(0, 1)):
         for idx in all_indices(s.dims):
             assert s.index_of(s.lookup(idx)) == idx
+
+
+def test_space_methods_name_the_space_transformations():
+    # The DSL's method table is the evaluator's dispatch: each name is a
+    # ProcessorSpace method taking one parameter per argument role.
+    for method, roles in SPACE_METHODS.items():
+        params = inspect.signature(getattr(ProcessorSpace, method)).parameters
+        assert len(params) == 1 + len(roles), method
 
 
 def test_index_of_outside_slice_errors():

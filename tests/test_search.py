@@ -670,3 +670,25 @@ def test_an_escaping_exception_is_its_steps_failure(monkeypatch, stage, kind,
     assert report == FeedbackReport(kind, f"RuntimeError: broken {stage}")
     trajectory = run(app, machine, costs, "random", ObjectiveSpec(budget=3))
     assert [(r.feedback.kind, r.score) for r in trajectory.records] == [(kind, None)] * 3
+
+
+def _malformed_proposals():
+    dims = decision_dimensions(load_app_named("circuit"))
+    for slot in range(len(dims)):
+        choices = [dim.options[0] for dim in dims]
+        choices[slot] = 5
+        yield pytest.param({"choices": choices}, id=f"int-in-slot-{slot}")
+    for proposal, name in (({"choices": None}, "choices-none"), ({}, "empty"),
+                           (None, "none"), ({"program": None}, "program-none")):
+        yield pytest.param(proposal, id=name)
+
+
+@pytest.mark.parametrize("proposal", _malformed_proposals())
+def test_a_malformed_proposal_is_a_compile_error(proposal, machine, costs):
+    app = load_app_named("circuit")
+    trajectory = run(app, machine, costs, lambda history, dims, seed: proposal,
+                     ObjectiveSpec(budget=2))
+    for record in trajectory.records:
+        assert record.feedback.kind == "CompileError"
+        assert re.match(r"[A-Za-z]+Error: ", record.feedback.system_message)
+        assert record.score is None

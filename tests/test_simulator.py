@@ -209,9 +209,9 @@ def test_faster_rate_never_slows_wall_time(machine, costs):
         app, table = expert_table(name, machine)
         base = simulate(app, table, machine, costs)
         for kind in ("GPU", "CPU"):
-            boosted = replace(
-                costs, compute_rate={kind: machine.compute_rate[kind] * 2})
-            faster = simulate(app, table, machine, boosted)
+            boosted = replace(machine, compute_rate={
+                **machine.compute_rate, kind: machine.compute_rate[kind] * 2})
+            faster = simulate(app, table, boosted, costs)
             assert faster.wall_time <= base.wall_time
 
 
