@@ -130,6 +130,41 @@ Expr = Union[
 ]
 
 
+# The value kinds are int, tuple, space, processor and task.  Each
+# parameter keyword declares one.
+PARAM_KINDS = {"Task": "task", "Tuple": "tuple", "int": "int"}
+
+# The processor-space methods and the role of each argument, in order: a
+# "shape" is a tuple of extents, every other role an integer.  A call
+# takes exactly one argument per role.
+SPACE_METHODS = {
+    "split": ("dimension", "factor"),
+    "merge": ("dimension", "dimension"),
+    "swap": ("dimension", "dimension"),
+    "slice": ("dimension", "bound", "bound"),
+    "decompose": ("dimension", "shape"),
+}
+
+# By the kind of the base, the kind each attribute, method and subscript
+# yields.  Values of the other kinds have none.
+ATTRIBUTES = {"space": {"size": "tuple"},
+              "task": {"ipoint": "tuple", "ispace": "tuple", "parent": "task"}}
+METHODS = {"space": dict.fromkeys(SPACE_METHODS, "space"), "task": {"processor": "tuple"}}
+ELEMENTS = {"space": "processor", "tuple": "int"}
+
+
+def no_member(kind: str, name: str, method: bool) -> str:
+    """The error for a member that values of ``kind`` do not have."""
+    owners = {"space": "processor spaces", "task": "tasks"}
+    member = f"method .{name}()" if method else f"attribute .{name}"
+    return f"{owners.get(kind, f'values of kind {kind}')} have no {member}"
+
+
+def no_elements(kind: str) -> str:
+    """The error for indexing a value of a kind not in ``ELEMENTS``."""
+    return f"cannot index a value of kind {kind}"
+
+
 # --------------------------------------------------------------------------
 # Layout constraints
 # --------------------------------------------------------------------------

@@ -296,15 +296,6 @@ def decision_vector(table: MappingDecisionTable,
     return vector
 
 
-def table_from_choices(app: ApplicationDescriptor, choices: Sequence,
-                       ) -> MappingDecisionTable:
-    """Build a table from one chosen option per decision dimension.
-
-    Index-mapping choices are names of built-in library functions.
-    """
-    return _table_from_choices(app, choices, decision_dimensions(app))
-
-
 # The built-in library, its functions by name and its closures by set of
 # chosen names, kept for as long as ``builtin_program`` returns the same
 # program.
@@ -319,10 +310,17 @@ def _library() -> tuple[MapperProgram, dict[str, FuncDef], dict]:
     return _library_cache
 
 
-def _table_from_choices(app: ApplicationDescriptor, choices: Sequence,
-                        dims: Sequence[DecisionDimension]) -> MappingDecisionTable:
-    """``table_from_choices`` over the app's ``dims``, computed once by
-    the caller."""
+def table_from_choices(app: ApplicationDescriptor, choices: Sequence,
+                       dims: Optional[Sequence[DecisionDimension]] = None,
+                       ) -> MappingDecisionTable:
+    """Build a table from one chosen option per decision dimension.
+
+    ``dims`` are the app's decision dimensions, when the caller has
+    computed them already.  Index-mapping choices are names of built-in
+    library functions.
+    """
+    if dims is None:
+        dims = decision_dimensions(app)
     if len(choices) != len(dims):
         raise ValueError(f"expected {len(dims)} choices, got {len(choices)}")
     library, functions, closures = _library()

@@ -174,6 +174,8 @@ def _as_name(value, path: str) -> str:
 def _as_number(value, path: str, positive: bool = True) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _SchemaError(path, "expected a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _SchemaError(path, "expected a finite number")
     if positive and value <= 0:
         raise _SchemaError(path, "must be positive")
     try:

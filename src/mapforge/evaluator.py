@@ -49,13 +49,12 @@ from typing import Optional, Union
 import numpy as np
 
 from .ast import (
-    COMPARE_OPS, Attr, BinOp, Call, Expr, FuncDef, IntLit, LocalAssign,
-    MachineExpr, MapperProgram, MethodCall, Name, ReturnStmt, Splat, Subscript,
-    Ternary, TupleLit, entry_signature_error,
+    ATTRIBUTES, COMPARE_OPS, METHODS, SPACE_METHODS, Attr, BinOp, Call, Expr,
+    FuncDef, IntLit, LocalAssign, MachineExpr, MapperProgram, MethodCall, Name,
+    ReturnStmt, Splat, Subscript, Ternary, TupleLit, entry_signature_error,
+    no_elements, no_member,
 )
-from .machine import (
-    SPACE_METHODS, MachineModel, ProcIndex, ProcessorSpace, SpaceError, machine_space,
-)
+from .machine import MachineModel, ProcIndex, ProcessorSpace, SpaceError, machine_space
 
 
 class EvalError(ValueError):
@@ -230,19 +229,16 @@ def _binary(op: str, lhs: Value, rhs: Value) -> Value:
 
 
 def _kind(value: Value) -> str:
-    if isinstance(value, bool):
-        return "bool"
+    """The value's kind, as the kind tables of ``ast`` name it."""
     if _is_int(value):
         return "int"
     if isinstance(value, tuple):
         return "tuple"
     if isinstance(value, ProcessorSpace):
         return "space"
-    if isinstance(value, (ProcIndex, np.ndarray)):
-        return "processor"
     if isinstance(value, TaskHandle):
         return "task"
-    return type(value).__name__
+    return "processor"
 
 
 def _expect_int(value: Value, what: str):
@@ -386,54 +382,36 @@ def _eval_ternary(expr: Ternary, env: EvalEnv) -> Value:
 
 def _eval_attr(expr: Attr, env: EvalEnv) -> Value:
     base = eval_expr(expr.base, env)
-    if isinstance(base, ProcessorSpace):
-        if expr.name == "size":
-            return base.dims
-        raise EvalError(f"processor spaces have no attribute .{expr.name}")
-    if isinstance(base, TaskHandle):
-        if expr.name == "ipoint":
-            return base.ipoint
-        if expr.name == "ispace":
-            return base.ispace
-        if expr.name == "parent":
-            if base.parent is None:
-                raise EvalError(f"task {base.name} has no parent")
-            return base.parent
-        raise EvalError(f"tasks have no attribute .{expr.name}")
-    raise EvalError(f"values of kind {_kind(base)} have no attribute .{expr.name}")
-
-
-# Per space method, one check per argument, taking its role from
-# SPACE_METHODS: "split dimension must be an integer, got tuple".
-_SPACE_CHECKS = {
-    method: tuple(functools.partial(_expect_tuple if role == "shape" else _expect_int,
-                                    what=f"{method} {role}")
-                  for role in roles)
-    for method, roles in SPACE_METHODS.items()}
+    kind = _kind(base)
+    if expr.name not in ATTRIBUTES.get(kind, ()):
+        raise EvalError(no_member(kind, expr.name, method=False))
+    if kind == "space":  # its one attribute, the extents
+        return base.dims
+    value = getattr(base, expr.name)
+    if value is None:
+        raise EvalError(f"task {base.name} has no {expr.name}")
+    return value
 
 
 def _eval_method(expr: MethodCall, env: EvalEnv) -> Value:
     base = eval_expr(expr.base, env)
     args = [eval_expr(a, env) for a in expr.args]
-    if isinstance(base, ProcessorSpace):
-        args = [_uniform(a) for a in args]
-        checks = _SPACE_CHECKS.get(expr.method)
-        if checks is None:
-            raise EvalError(f"processor spaces have no method .{expr.method}()")
-        for check, arg in zip(checks, args):
-            check(arg)
-        if len(args) < len(checks):
-            raise EvalError(f"wrong number of arguments for .{expr.method}()")
-        return getattr(base, expr.method)(*args[:len(checks)])  # extras ignored
-    if isinstance(base, TaskHandle):
-        if expr.method == "processor":
-            if len(args) != 1 or not isinstance(args[0], ProcessorSpace):
-                raise EvalError(".processor() takes a processor space argument")
-            if base.processor is None:
-                raise EvalError(f"task {base.name} is not mapped to a processor yet")
-            return args[0].index_of(base.processor)
-        raise EvalError(f"tasks have no method .{expr.method}()")
-    raise EvalError(f"values of kind {_kind(base)} have no method .{expr.method}()")
+    kind = _kind(base)
+    if expr.method not in METHODS.get(kind, ()):
+        raise EvalError(no_member(kind, expr.method, method=True))
+    if kind == "task":
+        if len(args) != 1 or not isinstance(args[0], ProcessorSpace):
+            raise EvalError(f".{expr.method}() takes a processor space argument")
+        if base.processor is None:
+            raise EvalError(f"task {base.name} is not mapped to a processor yet")
+        return args[0].index_of(base.processor)
+    args = [_uniform(a) for a in args]
+    roles = SPACE_METHODS[expr.method]
+    for role, arg in zip(roles, args):  # "split factor must be an integer"
+        (_expect_tuple if role == "shape" else _expect_int)(arg, f"{expr.method} {role}")
+    if len(args) != len(roles):
+        raise EvalError(f"wrong number of arguments for .{expr.method}()")
+    return getattr(base, expr.method)(*args)
 
 
 def _eval_subscript(expr: Subscript, env: EvalEnv) -> Value:
@@ -475,7 +453,7 @@ def _eval_subscript(expr: Subscript, env: EvalEnv) -> Value:
             hit = i == k
             out[hit] = item[hit] if isinstance(item, np.ndarray) else item
         return out
-    raise EvalError(f"cannot index a value of kind {_kind(base)}")
+    raise EvalError(no_elements(_kind(base)))
 
 
 # --------------------------------------------------------------------------

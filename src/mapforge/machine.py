@@ -69,17 +69,6 @@ class ProcIndex:
     local: int
 
 
-# The processor-space methods of the DSL and the role of each argument,
-# in order: a "shape" is a tuple of extents, every other role an integer.
-SPACE_METHODS = {
-    "split": ("dimension", "factor"),
-    "merge": ("dimension", "dimension"),
-    "swap": ("dimension", "dimension"),
-    "slice": ("dimension", "bound", "bound"),
-    "decompose": ("dimension", "shape"),
-}
-
-
 # --------------------------------------------------------------------------
 # Transformation steps.  ``to_parent_columns`` maps the index columns of
 # the transformed space (one integer array per dimension) to those of the

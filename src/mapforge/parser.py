@@ -61,15 +61,13 @@ from typing import NamedTuple
 
 from .ast import (
     ALIGN_OPS, COMPARE_OPS, IDENT, LAYOUT_KEYWORDS, MEM_ALIASES, MEM_KINDS,
-    PROC_KINDS, WILDCARD,
+    PARAM_KINDS, PROC_KINDS, WILDCARD,
     Align, AssignStmt, Attr, BinOp, Call, CollectStmt, Diagnostic, Expr,
     FuncDef, IndexTaskMapStmt, InstanceLimitStmt, IntLit, LayoutStmt,
     LocalAssign, MachineExpr, MapperProgram, MethodCall, Name, Param,
     Pattern, RegionStmt, ReturnStmt, SingleTaskMapStmt, Splat, Statement,
     Subscript, TaskStmt, Ternary, TupleLit,
 )
-
-PARAM_KINDS = ("Task", "Tuple", "int")
 
 MAX_NESTING = 100
 

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence, Union
 from .adapter import AdapterClient, AdapterError, build_request, parse_response
 from .ast import Diagnostic, MapperProgram
 from .binder import (
-    DecisionDimension, _table_from_choices, decision_dimensions, emit, resolve,
+    DecisionDimension, decision_dimensions, emit, resolve, table_from_choices,
 )
 from .configs import ApplicationDescriptor, CostParams
 from .feedback import (
@@ -349,7 +349,7 @@ def _print_choices(app, choices, dims) -> Union[str, FeedbackReport]:
     ValueError (the binder's own errors), ``TypeName: text`` of any other
     exception."""
     try:
-        return print_program(emit(_table_from_choices(app, choices, dims), app))
+        return print_program(emit(table_from_choices(app, choices, dims), app))
     except ValueError as exc:
         return FeedbackReport("CompileError", str(exc))
     except Exception as exc:

@@ -7,21 +7,21 @@ binding, mapping entry points return a processor-space subscript,
 alignment constraints are powers of two, there is no recursion, and
 no chain of nested calls is longer than ``MAX_CALL_DEPTH``.
 
-The checks use a small four-valued type inference (int / tuple / space
-/ proc / task / unknown); anything that cannot be decided statically
-is left to evaluation time.
+The checks use a small type inference over the value kinds of
+``ast`` (int / tuple / space / processor / task) and "unknown";
+anything that cannot be decided statically is left to evaluation time.
 """
 
 from __future__ import annotations
 
 from .ast import (
-    COMPARE_OPS, DIM_ORDERS, FIELD_LAYOUTS, Align, AssignStmt, Attr, BinOp, Call,
+    ATTRIBUTES, COMPARE_OPS, DIM_ORDERS, ELEMENTS, FIELD_LAYOUTS, METHODS,
+    PARAM_KINDS, SPACE_METHODS, Align, AssignStmt, Attr, BinOp, Call,
     Diagnostic, Expr, FuncDef, IndexTaskMapStmt, InstanceLimitStmt, IntLit,
     LayoutStmt, LocalAssign, MachineExpr, MapperProgram, MethodCall, Name,
     RegionStmt, ReturnStmt, SingleTaskMapStmt, Splat, Subscript, TaskStmt,
-    Ternary, TupleLit, entry_signature_error,
+    Ternary, TupleLit, entry_signature_error, no_elements, no_member,
 )
-from .machine import SPACE_METHODS
 
 # Most calls a chain of nested calls may hold, counted from a mapping
 # function or a top-level binding.  A body nested ``MAX_NESTING`` levels
@@ -92,9 +92,6 @@ def _walk(expr: Expr) -> list[Expr]:
 # Type inference
 # --------------------------------------------------------------------------
 
-_PARAM_TYPES = {"Task": "task", "Tuple": "tuple", "int": "int"}
-
-
 class _Inference:
     def __init__(self, program: MapperProgram, diagnostics: list[Diagnostic]):
         self.program = program
@@ -113,7 +110,7 @@ class _Inference:
         self._return_cache[func.name] = "unknown"  # cycle guard
         env = dict(self.global_types)
         for p in func.params:
-            env[p.name] = _PARAM_TYPES[p.kind]
+            env[p.name] = PARAM_KINDS[p.kind]
         rtype = "unknown"
         for stmt in func.body:
             if isinstance(stmt, LocalAssign):
@@ -143,53 +140,31 @@ class _Inference:
             if lhs == rhs == "int":
                 return "int"
             return "unknown"
-        if isinstance(expr, Attr):
+        if isinstance(expr, (Attr, MethodCall)):
             base = self.infer(expr.base, env)
-            if base == "space":
-                if expr.name == "size":
-                    return "tuple"
-                self.diagnostics.append(_error(
-                    expr.base, f"processor spaces have no attribute .{expr.name}"))
-                return "unknown"
-            if base == "task":
-                if expr.name in ("ipoint", "ispace"):
-                    return "tuple"
-                if expr.name == "parent":
-                    return "task"
-                self.diagnostics.append(_error(
-                    expr.base, f"tasks have no attribute .{expr.name}"))
-                return "unknown"
-            return "unknown"
-        if isinstance(expr, MethodCall):
-            base = self.infer(expr.base, env)
-            for arg in expr.args:
+            method = isinstance(expr, MethodCall)
+            name, args = (expr.method, expr.args) if method else (expr.name, ())
+            for arg in args:
                 self.infer(arg, env)
-            if base == "space":
-                if expr.method in SPACE_METHODS:
-                    return "space"
-                self.diagnostics.append(_error(
-                    expr.base, f"processor spaces have no method .{expr.method}()"))
+            members = (METHODS if method else ATTRIBUTES).get(base)
+            if members is None:
                 return "unknown"
-            if base == "task":
-                if expr.method == "processor":
-                    return "tuple"
-                self.diagnostics.append(_error(
-                    expr.base, f"tasks have no method .{expr.method}()"))
-                return "unknown"
+            if name not in members:
+                message = no_member(base, name, method)
+            elif base == "space" and method and len(args) != len(SPACE_METHODS[name]):
+                message = f"wrong number of arguments for .{name}()"
+            else:
+                return members[name]
+            self.diagnostics.append(_error(expr.base, message))
             return "unknown"
         if isinstance(expr, Subscript):
             base = self.infer(expr.base, env)
             for idx in expr.indices:
                 inner = idx.value if isinstance(idx, Splat) else idx
                 self.infer(inner, env)
-            if base == "space":
-                return "proc"
-            if base == "tuple":
-                return "int"
-            if base in ("int", "proc", "task"):
-                self.diagnostics.append(_error(
-                    expr.base, f"cannot index a value of kind {base}"))
-            return "unknown"
+            if base not in ELEMENTS and base != "unknown":
+                self.diagnostics.append(_error(expr.base, no_elements(base)))
+            return ELEMENTS.get(base, "unknown")
         if isinstance(expr, Splat):
             return self.infer(expr.value, env)
         if isinstance(expr, Ternary):
@@ -337,7 +312,7 @@ def validate(program: MapperProgram) -> list[Diagnostic]:
                     func, f"function {func.name} must return a processor"))
             elif inference is not None:
                 rtype = inference.func_return_type(func)
-                if rtype not in ("proc", "unknown"):
+                if rtype not in ("processor", "unknown"):
                     diagnostics.append(_error(
                         func,
                         f"function {func.name} must return a processor "

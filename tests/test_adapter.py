@@ -112,6 +112,18 @@ def test_malformed_json_raises():
         parse_response("nope", [])
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("[1, 2]", "adapter response must be a JSON object"),
+    ('{"blocks": {}}', "adapter blocks must be a nonempty object"),
+    ('{"blocks": {"task": 5}}', "block 'task' must be DSL text"),
+    ('{"program": "Task * GPU;"}', "adapter response needs either 'vector' or 'blocks'"),
+], ids=["non_object", "empty_blocks", "non_string_block", "neither_key"])
+def test_malformed_responses_raise(raw, message):
+    with pytest.raises(AdapterError) as raised:
+        parse_response(raw, [])
+    assert str(raised.value) == message
+
+
 # -- subprocess transport ---------------------------------------------------------
 
 

@@ -192,6 +192,26 @@ def test_non_utf8_descriptor_is_a_loader_diagnostic(capsys, tmp_path, flag):
     assert err.startswith("error: invalid ") and f" {bad}: " in err
 
 
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("flag, number", [
+    ("--app", "flops_per_point: 4.0e+09"),
+    ("--machine", "compute_rate: 4.0e+12"),
+    ("--costs", "aos_gpu_penalty: 4.0"),
+])
+def test_a_non_finite_number_is_a_loader_diagnostic(capsys, tmp_path, flag, number,
+                                                     value):
+    paths = {"--app": APP, "--machine": MACHINE, "--costs": COSTS}
+    text = open(paths[flag]).read()
+    assert number in text
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace(number, number.split()[0] + " " + value, 1))
+    argv = [item for pair in {**paths, flag: str(bad)}.items() for item in pair]
+    code, out, err = run_cli(capsys, "simulate", "--mapper", EXPERT, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid ")
+    assert err.endswith(": expected a finite number\n")
+
+
 @pytest.mark.parametrize("flag", ["--app", "--machine", "--costs"])
 def test_missing_descriptor_is_an_io_error(capsys, tmp_path, flag):
     missing = tmp_path / "missing.yaml"

@@ -115,6 +115,17 @@ def test_an_integer_past_the_float_range(tmp_path):
     assert messages(result) == ["misalign_penalty: number out of range"]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("loader, base, keys, where", [
+    (load_machine, MACHINE, ("procs", "GPU", "compute_rate"), "procs.GPU.compute_rate"),
+    (load_app, APP, ("tasks", 0, "flops_per_point"), "tasks[0].flops_per_point"),
+    (load_costs, COSTS, ("aos_gpu_penalty",), "aos_gpu_penalty"),
+])
+def test_numbers_must_be_finite(tmp_path, loader, base, keys, where, value):
+    result = load_edited(loader, base, tmp_path / "x.yaml", _set(*keys, value=value))
+    assert messages(result) == [f"{where}: expected a finite number"]
+
+
 # -- totality ---------------------------------------------------------------------
 
 _KEYS = st.sampled_from(["name", "tasks", "regions", "procs", "memories", "GPU",

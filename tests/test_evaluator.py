@@ -1,9 +1,11 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from mapforge.ast import ATTRIBUTES, ELEMENTS, METHODS, SPACE_METHODS, no_member
 from mapforge.evaluator import (
     INT_LIMIT, EvalEnv, EvalError, TaskHandle, build_env, builtin_library,
     builtin_program, call_function, corpus_path, eval_expr, eval_launch,
@@ -234,6 +236,72 @@ def test_mapping_signature_is_checked_as_the_validator_does():
     with pytest.raises(EvalError) as raised:
         eval_mapping(program.functions["f"], handle((0,), (1,)), env)
     assert str(raised.value) == message
+
+
+# -- the kind tables, as the validator reads them ------------------------------
+
+# An expression of each value kind inside ``def f(Task t)``.
+KIND_BASES = {"int": "t.ipoint[0]", "tuple": "t.ipoint", "space": "Machine(GPU)",
+              "processor": "Machine(GPU)[0, 0]", "task": "t"}
+MEMBER_NAMES = sorted({name for table in (ATTRIBUTES, METHODS)
+                       for members in table.values() for name in members})
+MISSES = ([(kind, f".{name}") for kind, members in ATTRIBUTES.items()
+           for name in MEMBER_NAMES if name not in members]
+          + [(kind, f".{name}(Machine(GPU))") for kind, members in METHODS.items()
+             for name in MEMBER_NAMES if name not in members]
+          + [(kind, "[0]") for kind in KIND_BASES if kind not in ELEMENTS])
+ARITY_MISSES = [
+    f".{method}({', '.join(args)})"
+    for method, roles in SPACE_METHODS.items()
+    for full in [["(1, 1)" if role == "shape" else "0" for role in roles]]
+    for args in (full[:-1], full + ["0"])]
+
+
+def _errors(base, access):
+    """The interpreter's error for ``base`` + ``access`` where the validator
+    cannot tell the kind of ``base``, and the validator's diagnostics where
+    it can."""
+    def program(expr):
+        return parse_valid(f"def f(Task t) {{ x = {expr}{access}; "
+                           "return Machine(GPU)[0, 0]; }\nIndexTaskMap a f;")
+    # A ternary whose branches differ in kind has no kind the validator knows.
+    other = "(0, 0)" if base == KIND_BASES["int"] else "0"
+    unknown = program(f"(1 ? {base} : {other})")
+    assert validate(unknown) == []
+    with pytest.raises(EvalError) as raised:
+        eval_mapping(unknown.functions["f"], handle((0,), (1,)),
+                     build_env(unknown, default_machine(2, 2)))
+    return str(raised.value), [d.message for d in validate(program(base))]
+
+
+@pytest.mark.parametrize("kind, access", MISSES, ids=[f"{k}{a}" for k, a in MISSES])
+def test_a_missing_member_reads_the_same_in_interpreter_and_validator(kind, access):
+    error, diagnostics = _errors(KIND_BASES[kind], access)
+    assert diagnostics == [error]
+    member = access[1:].split("(")[0]
+    assert error == (f"cannot index a value of kind {kind}" if access == "[0]"
+                     else no_member(kind, member, "(" in access))
+
+
+@pytest.mark.parametrize("call", ARITY_MISSES)
+def test_a_space_method_takes_exactly_its_arguments(call):
+    error, diagnostics = _errors(KIND_BASES["space"], call)
+    assert error == f"wrong number of arguments for {call[:call.index('(')]}()"
+    assert diagnostics == [error]
+
+
+def test_the_kind_tables_are_documented():
+    docs = Path(__file__).resolve().parents[1] / "docs" / "file_formats.md"
+    rows = {line.split("|")[1].strip(): line
+            for line in docs.read_text().splitlines() if line.startswith("| `")}
+    for table in (ATTRIBUTES, METHODS):
+        for kind, members in table.items():
+            for name in members:
+                assert f"`.{name}" in rows[f"`{kind}`"], (kind, name)
+    for method, roles in SPACE_METHODS.items():
+        assert f"`.{method}({', '.join(roles)})`" in rows["`space`"]
+    for kind, element in ELEMENTS.items():
+        assert rows[f"`{kind}`"].endswith(f"→ {element} |")
 
 
 def test_mapping_must_return_processor():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from mapforge.ast import SPACE_METHODS
 from mapforge.machine import (
-    SPACE_METHODS, Merge, ProcIndex, ProcessorSpace, SpaceError, default_machine,
-    machine_space,
+    Merge, ProcIndex, ProcessorSpace, SpaceError, default_machine, machine_space,
 )
 
 

@@ -255,6 +255,22 @@ def test_zcmem_trades_compute_for_free_sharing(single_node_machine, costs):
     assert compute_zc > compute_fb
 
 
+def test_misalignment_slows_gpu_compute(machine, costs):
+    # Align==8 is below a GPU's preferred 64 bytes, so it costs
+    # misalign_penalty; Align==64 does not.
+    app = load_app_named("stencil")
+
+    def compute(align, penalty):
+        text = expert_source("stencil") + f"Layout * * * Align=={align};\n"
+        program = parse_valid(text)
+        result = simulate(app, resolve(program, app, machine), machine,
+                          replace(costs, misalign_penalty=penalty))
+        return result.per_task_compute["apply_stencil"]
+
+    assert compute(8, costs.misalign_penalty) > compute(64, costs.misalign_penalty)
+    assert compute(8, 1.0) == compute(64, 1.0)
+
+
 def test_instance_limit_adds_waves(machine, costs):
     # Stencil puts two points on each GPU; a limit of 1 doubles the waves.
     app = load_app_named("stencil")
