@@ -16,14 +16,21 @@ iterations and keeps going.
 from __future__ import annotations
 
 import json
+import os
+import select
 import shlex
 import subprocess
+import time
 import urllib.request
 from typing import Optional, Sequence
 
 from .binder import DecisionDimension, LayoutChoice
 
 PROTOCOL_VERSION = 1
+
+# Seconds an adapter has to answer one request, on either transport, and
+# a subprocess to exit once its input is closed.
+ROUND_TIMEOUT = 30
 
 # Canonical assembly order for block-structured responses.
 BLOCK_NAMES = ("task", "region", "layout", "instance_limit",
@@ -105,6 +112,7 @@ class AdapterClient:
     def __init__(self, endpoint: str):
         self.endpoint = endpoint
         self._proc: Optional[subprocess.Popen] = None
+        self._unread = b""  # subprocess output past the last response line
 
     @property
     def is_http(self) -> bool:
@@ -125,26 +133,54 @@ class AdapterClient:
         req = urllib.request.Request(
             self.endpoint, data=payload.encode(),
             headers={"Content-Type": "application/json"})
-        with urllib.request.urlopen(req, timeout=30) as response:
+        with urllib.request.urlopen(req, timeout=ROUND_TIMEOUT) as response:
             return response.read().decode()
 
     def _subprocess_round(self, payload: str) -> str:
+        """Send one request line and read one response line.  An adapter
+        that has not taken the request and answered a full line within
+        ROUND_TIMEOUT is killed; the next request starts a new one."""
         if self._proc is None or self._proc.poll() is not None:
+            self.close()
             self._proc = subprocess.Popen(
                 shlex.split(self.endpoint), stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE, text=True)
-        assert self._proc.stdin and self._proc.stdout
-        self._proc.stdin.write(payload + "\n")
-        self._proc.stdin.flush()
-        line = self._proc.stdout.readline()
-        if not line:
+                stdout=subprocess.PIPE)
+            os.set_blocking(self._proc.stdin.fileno(), False)
+            self._unread = b""
+        request = memoryview((payload + "\n").encode())
+        send, out = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        deadline = time.monotonic() + ROUND_TIMEOUT
+        while b"\n" not in self._unread:
+            readable, writable, _ = select.select(
+                [out], [send] if request else [], [],
+                max(deadline - time.monotonic(), 0))
+            if not (readable or writable):
+                with self._proc:  # closes its pipes and waits
+                    self._proc.kill()
+                raise AdapterError(
+                    f"adapter subprocess sent no response within {ROUND_TIMEOUT} s")
+            if writable:
+                request = request[os.write(send, request):]
+            if readable:
+                chunk = os.read(out, 4096)
+                if not chunk:
+                    break
+                self._unread += chunk
+        line, newline, self._unread = self._unread.partition(b"\n")
+        if not (line or newline):
             raise AdapterError("adapter subprocess closed its output")
-        return line
+        return line.decode()
 
     def close(self):
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=10)
+        """Close the subprocess's input and wait for it to exit, killing it
+        after ROUND_TIMEOUT."""
+        if self._proc is not None:
+            with self._proc:  # closes its pipes and waits
+                self._proc.stdin.close()
+                try:
+                    self._proc.wait(timeout=ROUND_TIMEOUT)
+                except subprocess.TimeoutExpired:
+                    self._proc.kill()
         self._proc = None
 
     def __enter__(self):

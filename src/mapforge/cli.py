@@ -13,6 +13,7 @@ byte-identical results.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -143,19 +144,16 @@ def cmd_optimize(args) -> int:
             raise _CliFailure(
                 EXIT_USER,
                 "external strategy needs --adapter-url or MAPFORGE_ADAPTER")
+    elif args.strategy not in search.STRATEGIES:
+        raise _CliFailure(EXIT_USER, f"unknown strategy {args.strategy}")
 
-        def run_seed(seed: int):
-            with AdapterClient(endpoint) as client:
+    def run_seed(seed: int):
+        with contextlib.ExitStack() as stack:
+            strategy = args.strategy
+            if strategy == "external":
+                client = stack.enter_context(AdapterClient(endpoint))
                 strategy = search.external_strategy(client, app.name, machine.name)
-                return search.run(app, machine, costs, strategy,
-                                  search.ObjectiveSpec(budget=args.iters),
-                                  args.level, seed, rules)
-    else:
-        if args.strategy not in search.STRATEGIES:
-            raise _CliFailure(EXIT_USER, f"unknown strategy {args.strategy}")
-
-        def run_seed(seed: int):
-            return search.run(app, machine, costs, args.strategy,
+            return search.run(app, machine, costs, strategy,
                               search.ObjectiveSpec(budget=args.iters),
                               args.level, seed, rules)
 

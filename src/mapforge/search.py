@@ -16,9 +16,10 @@ steps plus classification into system feedback.
 
 Built-in strategies: ``random`` (uniform over every dimension),
 ``hillclimb`` (mutate one dimension of the best candidate, with random
-restarts after a stall), ``exhaustive`` (lexicographic enumeration),
-and ``external`` (an optimizer behind the adapter wire protocol).  All
-built-ins are deterministic given (history, seed).
+restarts after a stall; both read from the records' ``best_so_far``),
+``exhaustive`` (lexicographic enumeration), and ``external`` (an
+optimizer behind the adapter wire protocol).  All built-ins are
+deterministic given (history, seed).
 
 A run evaluates each distinct program text once; a repeated text reuses
 the result and system feedback of its first evaluation.  Likewise a run
@@ -109,36 +110,27 @@ def random_agent(history, dims, seed: int) -> dict:
     return {"choices": [rng.choice(dim.options) for dim in dims]}
 
 
-def _best_with_choices(history) -> Optional[Candidate]:
-    best = None
-    best_score = None
-    for record in history:
-        if record.score is None or record.candidate.choices is None:
-            continue
-        if best_score is None or record.score > best_score:
-            best, best_score = record.candidate, record.score
-    return best
-
-
-def _stall_length(history) -> int:
-    last_improve = -1
-    for i, record in enumerate(history):
-        if i == 0 and record.best_so_far is not None:
-            last_improve = 0
-        elif record.best_so_far is not None and (
-                history[i - 1].best_so_far is None
-                or record.best_so_far > history[i - 1].best_so_far):
-            last_improve = i
-    return len(history) - 1 - last_improve
+def _best_index(history) -> int:
+    """The index of the record that set the run's best score, or -1 before
+    any success: ``best_so_far`` changes only at the record that sets it."""
+    i = len(history) - 1
+    best = history[i].best_so_far if history else None
+    if best is None:
+        return -1
+    # ``in`` compares identity first, so a NaN best matches itself.
+    while i > 0 and history[i - 1].best_so_far in (best,):
+        i -= 1
+    return i
 
 
 def hill_climb(history, dims, seed: int) -> dict:
     rng = _rng(seed, len(history))
-    base = _best_with_choices(history)
-    stalls = _stall_length(history) if history else 0
+    best = _best_index(history)
+    base = history[best].candidate.choices if best >= 0 else None
+    stalls = len(history) - 1 - best
     if base is None or (stalls > 0 and stalls % STALL_LIMIT == 0):
         return {"choices": [rng.choice(dim.options) for dim in dims]}
-    choices = list(base.choices)
+    choices = list(base)
     dim_index = rng.randrange(len(dims))
     options = dims[dim_index].options
     if len(options) > 1:
@@ -164,23 +156,16 @@ def external_strategy(client: AdapterClient, app_name: str,
     AdapterError and are recorded as failed iterations."""
 
     def propose(history, dims, seed: int) -> dict:
-        wire_history = []
-        best = None
-        for record in history:
-            entry = {
-                "iteration": record.index,
-                "choices": _wire_choices(record.candidate.choices, dims),
-                "program": record.candidate.program_text,
-                "feedback": record.rendered_feedback,
-                "score": record.score,
-                "best_so_far": record.best_so_far,
-            }
-            wire_history.append(entry)
-            if record.score is not None and (
-                    best is None or record.score > best["score"]):
-                best = {"score": record.score,
-                        "choices": entry["choices"],
-                        "program": record.candidate.program_text}
+        wire_history = [{
+            "iteration": record.index,
+            "choices": _wire_choices(record.candidate.choices, dims),
+            "program": record.candidate.program_text,
+            "feedback": record.rendered_feedback,
+            "score": record.score,
+            "best_so_far": record.best_so_far,
+        } for record in history]
+        i = _best_index(history)
+        best = {k: wire_history[i][k] for k in ("score", "choices", "program")} if i >= 0 else None
         request = build_request(app_name, machine_name, dims, wire_history, best)
         return parse_response(client.propose(request), dims)
 

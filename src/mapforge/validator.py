@@ -32,8 +32,15 @@ MAX_CALL_DEPTH = 1
 
 
 def _pos(node) -> tuple[int, int]:
-    pos = getattr(node, "pos", None)
-    return pos if pos else (1, 1)
+    """Where ``node`` starts: its own position, or else that of the first
+    positioned node in it in source order, such as a chain's root name."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if getattr(node, "pos", None):
+            return node.pos
+        stack.extend(reversed(_children(node)))
+    return (1, 1)
 
 
 def _error(node, message: str) -> Diagnostic:

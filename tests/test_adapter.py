@@ -1,10 +1,13 @@
 import json
+import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from mapforge import adapter
 from mapforge.adapter import (
     AdapterClient, AdapterError, build_request, parse_response,
     serialize_domains,
@@ -191,6 +194,53 @@ def test_dead_subprocess_is_reported(machine, costs):
         trajectory = run(app, machine, costs, strategy, ObjectiveSpec(budget=2),
                          seed=0)
     assert all(r.feedback.kind == "CompileError" for r in trajectory.records)
+
+
+def test_silent_subprocess_times_out_and_respawns(monkeypatch, machine, costs):
+    monkeypatch.setattr(adapter, "ROUND_TIMEOUT", 0.5)
+    spawned = []
+    popen = subprocess.Popen
+
+    def spawn(*args, **kwargs):
+        spawned.append(popen(*args, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(adapter.subprocess, "Popen", spawn)
+    app = load_app_named("toy16")
+    silent = f'{sys.executable} -c "import sys, time; sys.stdin.readline(); time.sleep(60)"'
+    start = time.monotonic()
+    with AdapterClient(silent) as client:
+        strategy = external_strategy(client, app.name, machine.name)
+        trajectory = run(app, machine, costs, strategy, ObjectiveSpec(budget=3),
+                         seed=0)
+    assert time.monotonic() - start < 10
+    assert [r.feedback.system_message for r in trajectory.records] == [
+        "adapter subprocess sent no response within 0.5 s"] * 3
+    assert all(r.feedback.kind == "CompileError" for r in trajectory.records)
+    assert len(spawned) == 3
+    assert all(proc.poll() is not None for proc in spawned)
+
+
+def test_adapter_that_reads_no_request_times_out(monkeypatch):
+    # A request larger than a pipe's buffer blocks a writer whose reader
+    # never reads; the bound covers sending as well as answering.
+    monkeypatch.setattr(adapter, "ROUND_TIMEOUT", 0.5)
+    with AdapterClient(f'{sys.executable} -c "import time; time.sleep(60)"') as client:
+        with pytest.raises(AdapterError, match="no response within 0.5 s"):
+            client.propose({"history": ["x" * 1_000_000]})
+        assert client._proc.poll() is not None
+
+
+def test_adapter_that_outlives_its_input_is_killed_on_close(monkeypatch, tmp_path):
+    monkeypatch.setattr(adapter, "ROUND_TIMEOUT", 0.5)
+    lingering = adapter_cmd(tmp_path, "lingering.py",
+                            ECHO_ADAPTER + "import time\ntime.sleep(60)\n")
+    start = time.monotonic()
+    with AdapterClient(lingering) as client:
+        client.propose({"domains": [], "best_so_far": None})
+        proc = client._proc
+    assert time.monotonic() - start < 10
+    assert proc.poll() is not None
 
 
 # -- HTTP transport ------------------------------------------------------------

@@ -45,6 +45,21 @@ def test_check_reports_colon_error(capsys, tmp_path):
     assert f"{bad}:1:22: error:" in err
 
 
+@pytest.mark.parametrize("expr, column, message", [
+    ("m.merge(0, 1).split(0, 2, 9)[0, 0]", 12, "wrong number of arguments for .split()"),
+    ("m.merge(0, 1).flip(0)[0, 0]", 12, "processor spaces have no method .flip()"),
+    ("m[t.ipoint[0][1], 0]", 14, "cannot index a value of kind int"),
+], ids=["arity", "member", "subscript"])
+def test_check_places_errors_on_a_chained_base_at_its_root(capsys, tmp_path, expr,
+                                                            column, message):
+    bad = tmp_path / "chain.dsl"
+    bad.write_text("Task * GPU;\nm = Machine(GPU);\ndef f(Task t) {\n"
+                   f"    return {expr};\n}}\nIndexTaskMap t f;\n")
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert code == 1
+    assert err == f"{bad}:4:{column}: error: {message}\n"
+
+
 def test_check_missing_file_is_io_error(capsys):
     code, out, err = run_cli(capsys, "check", "/nonexistent/thing.dsl")
     assert code == 2

@@ -99,6 +99,45 @@ def test_a_non_mapping_where_a_mapping_belongs(tmp_path, loader, base, edit, whe
     assert messages(result) == [f"{where}: expected a mapping"]
 
 
+def _append_copy(key):
+    def edit(data):
+        data[key].append(copy.deepcopy(data[key][0]))
+    return edit
+
+
+@pytest.mark.parametrize("loader, base, edit, message", [
+    (load_app, APP, _set("metric", value="speed"), "metric: must be one of time, gflops"),
+    (load_app, APP, _set("tasks", 0, "proc_options", 0, value="TPU"),
+     "tasks[0].proc_options[0]: unknown processor kind TPU"),
+    (load_app, APP, _set("tasks", 0, "domain", value=[]),
+     "tasks[0].domain: launch domain must be nonempty"),
+    (load_app, APP, _set("tasks", 0, "proc_options", value=[]),
+     "tasks[0].proc_options: must list at least one kind"),
+    (load_app, APP, lambda data: data["tasks"][0]["variants"].pop("GPU"),
+     "tasks[0].proc_options: option GPU has no matching variant"),
+    (load_app, APP, _set("tasks", 0, "args", 0, "region", value="nope"),
+     "tasks[0].args[0].region: unknown region nope"),
+    (load_app, APP, _set("exchanges", 0, "task", value="nope"),
+     "exchanges[0].task: unknown task nope"),
+    (load_app, APP, _append_copy("regions"), "regions[6].name: duplicate region grid_a"),
+    (load_app, APP, _append_copy("tasks"), "tasks[2].name: duplicate task apply_stencil"),
+    (load_machine, MACHINE, _set("procs", value=5),
+     "procs: expected a mapping of processor kinds"),
+    (load_machine, MACHINE, _set("procs", "GPU", "count", value=-1),
+     "procs.GPU.count: must be nonnegative"),
+    (load_machine, MACHINE, _set("memories", value=5),
+     "memories: expected a mapping of memory kinds"),
+    (load_app, corpus_path("apps", "cosma.app"), _set("exchanges", 0, "axis", value=7),
+     "exchanges[0].axis: axis 7 out of range for rank 3"),
+], ids=["metric", "proc_kind", "empty_domain", "no_proc_options", "no_variant",
+        "unknown_region", "unknown_exchange_task", "duplicate_region",
+        "duplicate_task", "procs_not_a_mapping", "negative_count",
+        "memories_not_a_mapping", "exchange_axis"])
+def test_descriptor_errors(tmp_path, loader, base, edit, message):
+    result = load_edited(loader, base, tmp_path / "x.yaml", edit)
+    assert messages(result) == [message]
+
+
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
 def test_flags_take_only_true_or_false(tmp_path, value):
     result = load_edited(load_app, APP, tmp_path / "x.app",

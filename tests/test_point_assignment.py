@@ -175,6 +175,31 @@ CASES = {
     "branch_tuple_lengths_error": (
         "def f(Task t) { u = t.ipoint[0] % 2 == 0 ? (1, 2) : (1, 2, 3); "
         "return m[u[0], u[2]]; }", (8,), "GPU", "tuple index 2 out of range for length 2"),
+    # A split by value inside one branch of a ternary, merged back into
+    # the whole batch; the last case fails on some of its points.
+    "branch_split": (
+        "def f(Task t) { return t.ipoint[0] < 5 "
+        "? m.split(1, t.ipoint[0] % 2 + 1)[0, t.ipoint[0] % 2, 1] : m[1, t.ipoint[0] % 4]; }",
+        (9,), "GPU",
+        [(0, 1), (0, 3), (0, 1), (0, 3), (0, 1), (1, 1), (1, 2), (1, 3), (1, 0)]),
+    "nested_branch_split": (
+        "def f(Task t) { return t.ipoint[0] < 5 ? (t.ipoint[0] > 0 "
+        "? m.split(1, t.ipoint[0] % 2 + 1)[0, t.ipoint[0] % 2, 1] : m[0, 3]) "
+        ": m[1, t.ipoint[0] % 4]; }",
+        (9,), "GPU",
+        [(0, 3), (0, 3), (0, 1), (0, 3), (0, 1), (1, 1), (1, 2), (1, 3), (1, 0)]),
+    "branch_split_error": (
+        "def f(Task t) { return t.ipoint[0] < 5 "
+        "? m.split(1, t.ipoint[0] % 3 + 1)[0, 0, 0] : m[0, 0]; }",
+        (9,), "GPU", "split factor 3 does not divide extent 4 of dimension 1"),
+    "branch_tuples": (
+        "def f(Task t) { u = t.ipoint[0] < 4 ? (0, t.ipoint[0]) : (1, t.ipoint[0] % 4); "
+        "return m[*u]; }", (9,), "GPU",
+        [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3), (1, 0)]),
+    "branch_spaces": (
+        "def f(Task t) { s = t.ipoint[0] < 4 ? m : m; "
+        "return s[t.ipoint[0] % 2, t.ipoint[0] % 4]; }", (9,), "GPU",
+        [(0, 0), (1, 1), (0, 2), (1, 3), (0, 0), (1, 1), (0, 2), (1, 3), (0, 0)]),
     "branch_kinds": (
         "def f(Task t) { u = t.ipoint[0] < 4 ? m[0, 1] : 3; return u; }", (8,), "GPU",
         "mapping function f must return a processor, got int"),

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import re
 import sys
@@ -7,7 +8,7 @@ import time
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from scipy import stats
 
 from mapforge import search
@@ -17,7 +18,8 @@ from mapforge.feedback import (
 )
 from mapforge.search import (
     Candidate, IterationRecord, ObjectiveSpec, Trajectory, aggregate,
-    evaluate_program, exhaustive, hill_climb, random_agent, run, write_csv,
+    evaluate_program, exhaustive, external_strategy, hill_climb, random_agent,
+    run, write_csv,
 )
 from mapforge.printer import print_program
 from mapforge.simulator import simulate
@@ -229,6 +231,124 @@ def test_hill_climb_reaches_near_optimum_on_reduced_space(machine, costs):
         if t.best_score >= 0.95 * optimum:
             hits += 1
     assert hits >= 8
+
+
+# -- the best record, read from best_so_far ----------------------------------------
+#
+# The full-history scans that hill climbing and the external strategy used
+# before they read the best record from ``best_so_far``, kept here as the
+# reference.
+
+
+def reference_best_with_choices(history):
+    best = None
+    best_score = None
+    for record in history:
+        if record.score is None or record.candidate.choices is None:
+            continue
+        if best_score is None or record.score > best_score:
+            best, best_score = record.candidate, record.score
+    return best
+
+
+def reference_stall_length(history):
+    last_improve = -1
+    for i, record in enumerate(history):
+        if i == 0 and record.best_so_far is not None:
+            last_improve = 0
+        elif record.best_so_far is not None and (
+                history[i - 1].best_so_far is None
+                or record.best_so_far > history[i - 1].best_so_far):
+            last_improve = i
+    return len(history) - 1 - last_improve
+
+
+def reference_hill_climb(history, dims, seed):
+    rng = search._rng(seed, len(history))
+    base = reference_best_with_choices(history)
+    stalls = reference_stall_length(history) if history else 0
+    if base is None or (stalls > 0 and stalls % search.STALL_LIMIT == 0):
+        return {"choices": [rng.choice(dim.options) for dim in dims]}
+    choices = list(base.choices)
+    dim_index = rng.randrange(len(dims))
+    options = dims[dim_index].options
+    if len(options) > 1:
+        alternatives = [o for o in options if o != choices[dim_index]]
+        choices[dim_index] = rng.choice(alternatives)
+    return {"choices": choices}
+
+
+def reference_external_request(history, dims):
+    """The wire history and the ``best_so_far`` entry of a request."""
+    wire_history = []
+    best = None
+    for record in history:
+        entry = {
+            "iteration": record.index,
+            "choices": search._wire_choices(record.candidate.choices, dims),
+            "program": record.candidate.program_text,
+            "feedback": record.rendered_feedback,
+            "score": record.score,
+            "best_so_far": record.best_so_far,
+        }
+        wire_history.append(entry)
+        if record.score is not None and (
+                best is None or record.score > best["score"]):
+            best = {"score": record.score,
+                    "choices": entry["choices"],
+                    "program": record.candidate.program_text}
+    return wire_history, best
+
+
+def history_of(entries):
+    """Records of (choices, score) pairs, with ``best_so_far`` the running
+    maximum as ``search.run`` keeps it."""
+    history, best = [], None
+    for i, (choices, score) in enumerate(entries):
+        if score is not None and (best is None or score > best):
+            best = score
+        kind = "CompileError" if score is None else "PerformanceMetric"
+        history.append(IterationRecord(i, Candidate(f"program {i}", choices),
+                                       FeedbackReport(kind, "x", score=score),
+                                       "x", score, best))
+    return history
+
+
+BEST_DIMS = dims_of(["a", "b", "c"], [0, 1], ["x"])
+# Ties, failures and a NaN, each drawn as the same object every time.
+SCORES = (None, None, 1.0, 2.0, 3.0, float("nan"))
+ENTRIES = st.lists(st.tuples(
+    st.none() | st.tuples(*(st.sampled_from(d.options) for d in BEST_DIMS)),
+    st.sampled_from(SCORES)), max_size=60)
+
+
+class RecordingClient:
+    def propose(self, request):
+        self.request = request
+        return json.dumps({"vector": [0] * len(request["domains"])})
+
+
+@settings(max_examples=300, deadline=None)
+@given(ENTRIES, st.integers(0, 3))
+@example([(("a", 0, "x"), None)] * 30, 0)
+@example([(("a", 0, "x"), 1.0)] + [(("b", 1, "x"), 1.0)] * 40, 1)
+def test_best_record_matches_the_full_scan_reference(entries, seed):
+    # Hill climbing proposes only vectors, so every record has choices.
+    history = history_of([(choices or ("a", 0, "x"), score)
+                          for choices, score in entries])
+    assert (hill_climb(history, BEST_DIMS, seed)
+            == reference_hill_climb(history, BEST_DIMS, seed))
+    # A mixed history, as an external optimizer makes it.
+    history = history_of(entries)
+    wire_history, best = reference_external_request(history, BEST_DIMS)
+    client = RecordingClient()
+    external_strategy(client, "app", "machine")(history, BEST_DIMS, seed)
+    assert client.request["history"] == wire_history
+    assert client.request["best_so_far"] == best
+    if best is not None and best["choices"] is None:
+        # The best record is a program: hill climbing restarts at random.
+        assert (hill_climb(history, BEST_DIMS, seed)
+                == random_agent(history, BEST_DIMS, seed))
 
 
 # -- aggregation -----------------------------------------------------------------
