@@ -24,7 +24,10 @@ deterministic given (history, seed).
 A run evaluates each distinct program text once; a repeated text reuses
 the result and system feedback of its first evaluation.  Likewise a run
 turns each distinct choices vector into text once: a repeated vector
-reuses its printed text, or the compile error its table raised.
+reuses its printed text, or the compile error its table raised.  And a
+new text reuses, through one ``simulator.SimMemo`` per run, each task's
+point assignment and the exchange link totals that an earlier text with
+the same inputs computed.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .feedback import (
 from .machine import MachineModel
 from .parser import parse
 from .printer import print_program
-from .simulator import MappingError, SimResult, simulate
+from .simulator import MappingError, SimMemo, SimResult, simulate
 from .validator import validate
 
 DEFAULT_BUDGET = 10
@@ -207,6 +210,7 @@ def compile_program(text: str) -> Union[MapperProgram, list[Diagnostic]]:
 
 def simulate_program(program: MapperProgram, app: ApplicationDescriptor,
                      machine: MachineModel, costs: CostParams,
+                     memo: Optional[SimMemo] = None,
                      ) -> Union[list[Diagnostic],
                                 tuple[Optional[SimResult], FeedbackReport]]:
     """The run step: resolve a compiled program and simulate it.  Returns
@@ -215,13 +219,14 @@ def simulate_program(program: MapperProgram, app: ApplicationDescriptor,
     table = resolve(program, app, machine)
     if isinstance(table, list):
         return table
-    outcome = simulate(app, table, machine, costs)
+    outcome = simulate(app, table, machine, costs, memo)
     return (outcome if isinstance(outcome, SimResult) else None,
             classify(outcome, app.metric))
 
 
 def evaluate_program(text: str, app: ApplicationDescriptor,
                      machine: MachineModel, costs: CostParams,
+                     memo: Optional[SimMemo] = None,
                      ) -> tuple[Union[SimResult, None], FeedbackReport]:
     """Compile, resolve, and simulate one candidate program; returns the
     result (None on failure) and its system-level feedback.
@@ -237,7 +242,7 @@ def evaluate_program(text: str, app: ApplicationDescriptor,
     if isinstance(program, list):
         return None, classify(program, app.metric)
     try:
-        outcome = simulate_program(program, app, machine, costs)
+        outcome = simulate_program(program, app, machine, costs, memo)
     except Exception as exc:
         return None, classify(MappingError(_escaped(exc)), app.metric)
     if isinstance(outcome, list):
@@ -268,9 +273,11 @@ def run(app: ApplicationDescriptor, machine: MachineModel, costs: CostParams,
     trajectory = Trajectory(strategy_name, seed, app.name, machine.name)
     best_score: Optional[float] = None
     # Compiling and evaluating are deterministic, so a repeated choices
-    # vector reuses its text and a repeated text its outcome.
+    # vector reuses its text, a repeated text its outcome, and a new text
+    # the simulator's work for the parts it shares with earlier ones.
     printed: dict[tuple, Union[str, FeedbackReport]] = {}
     evaluated: dict[str, tuple[Optional[SimResult], FeedbackReport]] = {}
+    memo = SimMemo()
 
     for iteration in range(objective.budget):
         candidate, failure = _propose(strategy_fn, trajectory.records, dims,
@@ -281,7 +288,7 @@ def run(app: ApplicationDescriptor, machine: MachineModel, costs: CostParams,
         else:
             text = candidate.program_text
             if text not in evaluated:
-                evaluated[text] = evaluate_program(text, app, machine, costs)
+                evaluated[text] = evaluate_program(text, app, machine, costs, memo)
             result, report = evaluated[text]
             score = result.throughput if result is not None else None
         report = enhance(report, rules, feedback_level)

@@ -27,6 +27,18 @@ generated and charged as arrays of row-major point indices, in chunks.
 Sums of floats are still taken one term at a time in the order of a
 loop over the points and pairs, so results are the same to the bit.
 
+A search run passes a :class:`SimMemo`, because its candidates share
+most decisions.  A task's points depend only on its processor kind, its
+mapping function and the closure that function runs in (the table's
+bindings and functions, compared as ASTs since every text is parsed
+afresh), and the link totals only on the exchanging tasks' points and
+their regions' memories per node.  So a run maps each task once per
+distinct such input, and charges the exchanges once per distinct
+sequence of them.  A miss computes from zero, and a hit returns what
+that miss computed, kept read-only, so a call gives the same result and
+error text to the bit with a fresh memo (what a call without one uses)
+as with a shared one.
+
 The model is not event-driven and knows nothing about network topology
 or load imbalance over time; it exists to rank mappers deterministically.
 """
@@ -36,16 +48,16 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Union
+from dataclasses import dataclass, field
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from .binder import MappingDecisionTable
 from .configs import ApplicationDescriptor, CostParams, ExchangeRule, TaskSpec
-from .evaluator import EvalError, TaskHandle, build_env, eval_launch
+from .evaluator import EvalEnv, EvalError, TaskHandle, build_env, eval_launch
 from .machine import MachineModel, ProcIndex, SpaceError
-from .ast import MapperProgram
+from .ast import FuncDef, MapperProgram
 
 # Memories shared by all processors of a node; FBMEM is per-GPU, so
 # moving data between two GPUs' framebuffers costs bandwidth even on
@@ -108,6 +120,32 @@ class MappingError:
 SimError = Union[OutOfMemory, LayoutMismatch, MappingError]
 
 
+@dataclass
+class SimMemo:
+    """What ``simulate`` reuses within one run, for one app on one machine.
+
+    ``closures`` maps a table's closure, its bindings and functions, to
+    (closure id, its environment or MappingError).  ``tasks`` maps
+    (task, processor kind, function name, closure id or None without a
+    function) to the task's (N, 2) processor rows or its MappingError.
+    ``links`` maps the exchange inputs, each exchange's task key and
+    per-node memories in rule order, to the read-only link totals.
+    Nothing is evicted: the memo grows with the distinct keys, by an
+    (N, 2) array per task key, so it is kept for one run only.
+    """
+    closures: dict = field(default_factory=dict)
+    tasks: dict = field(default_factory=dict)
+    links: dict = field(default_factory=dict)
+
+    def closure(self, table: MappingDecisionTable, machine: MachineModel,
+                ) -> tuple[int, EvalEnv | MappingError]:
+        key = (table.bindings, tuple(table.functions.items()))
+        entry = self.closures.get(key)
+        if entry is None:
+            entry = self.closures[key] = (len(self.closures), _env(table, machine))
+        return entry
+
+
 # --------------------------------------------------------------------------
 # Penalties
 # --------------------------------------------------------------------------
@@ -160,52 +198,80 @@ def _default_block(domain: tuple[int, ...], machine: MachineModel,
     return procs
 
 
-def _assign(app: ApplicationDescriptor, table: MappingDecisionTable,
-            machine: MachineModel) -> dict[str, np.ndarray] | MappingError:
-    """Map every launch point of every task to a processor: for each task,
-    an (N, 2) array of (node, local) rows in row-major point order.  Each
-    mapping function runs once per task over all of its points."""
+def _env(table: MappingDecisionTable, machine: MachineModel) -> EvalEnv | MappingError:
+    """The environment of a table's closure: its bindings and functions."""
     program = MapperProgram(table.bindings + tuple(table.functions.values()))
     try:
-        env = build_env(program, machine)
+        return build_env(program, machine)
     except (EvalError, SpaceError) as exc:
         return MappingError(str(exc))
-    root = TaskHandle("__root__", (0,), (1,), processor=ProcIndex(0, 0))
+
+
+def _assign(app: ApplicationDescriptor, table: MappingDecisionTable,
+            machine: MachineModel, memo: SimMemo,
+            ) -> tuple[dict[str, np.ndarray], dict[str, tuple]] | MappingError:
+    """Map every launch point of every task to a processor: for each task,
+    an (N, 2) array of (node, local) rows in row-major point order, and
+    its key in ``memo.tasks``.  Each mapping function runs once per task
+    over all of its points, and once per memo for each task key."""
+    closure, env = memo.closure(table, machine)
+    if isinstance(env, MappingError):
+        return env
     assignment: dict[str, np.ndarray] = {}
+    keys: dict[str, tuple] = {}
     for task in app.tasks:
         kind = table.task_proc[task.name]
         func_name = (table.index_map.get(task.name) if task.launch == "index"
                      else table.single_map.get(task.name))
         func = table.functions.get(func_name) if func_name else None
-        domain = _launch_domain(task)
-        if func is None:
-            if machine.count(kind) < 1:
-                return MappingError(f"no {kind} processors on machine {machine.name}")
-            assignment[task.name] = _default_block(domain, machine, kind)
-            continue
-        procs, error = eval_launch(func, task.name, domain, env, parent=root)
-        bad = ((procs < 0).any(axis=1) | (procs[:, 0] >= machine.nodes)
-               | (procs[:, 1] >= machine.count(kind)))
-        if bad.any():
-            node, local = procs[np.argmax(bad)].tolist()
-            return MappingError(
-                f"Slice processor index out of bound: mapping function "
-                f"{func_name} produced ({node}, {local}) for "
-                f"{machine.nodes} nodes with {machine.count(kind)} "
-                f"{kind} processors each")
-        if error is not None:
-            return MappingError(str(error))
+        key = keys[task.name] = (task.name, kind, func_name,
+                                 None if func is None else closure)
+        procs = memo.tasks.get(key)
+        if procs is None:
+            procs = memo.tasks[key] = _assign_task(task, kind, func_name, func,
+                                                   machine, env)
+            if isinstance(procs, np.ndarray):
+                procs.flags.writeable = False
+        if isinstance(procs, MappingError):
+            return procs
         assignment[task.name] = procs
-    return assignment
+    return assignment, keys
+
+
+def _assign_task(task: TaskSpec, kind: str, func_name: Optional[str],
+                 func: Optional[FuncDef], machine: MachineModel,
+                 env: EvalEnv) -> np.ndarray | MappingError:
+    """One task's (N, 2) processor rows, by ``func`` or by the default
+    block distribution when there is none."""
+    domain = _launch_domain(task)
+    if func is None:
+        if machine.count(kind) < 1:
+            return MappingError(f"no {kind} processors on machine {machine.name}")
+        return _default_block(domain, machine, kind)
+    root = TaskHandle("__root__", (0,), (1,), processor=ProcIndex(0, 0))
+    procs, error = eval_launch(func, task.name, domain, env, parent=root)
+    bad = ((procs < 0).any(axis=1) | (procs[:, 0] >= machine.nodes)
+           | (procs[:, 1] >= machine.count(kind)))
+    if bad.any():
+        node, local = procs[np.argmax(bad)].tolist()
+        return MappingError(
+            f"Slice processor index out of bound: mapping function "
+            f"{func_name} produced ({node}, {local}) for "
+            f"{machine.nodes} nodes with {machine.count(kind)} "
+            f"{kind} processors each")
+    if error is not None:
+        return MappingError(str(error))
+    return procs
 
 
 def assign_points(app: ApplicationDescriptor, table: MappingDecisionTable,
                   machine: MachineModel,
                   ) -> dict[str, dict[tuple[int, ...], ProcIndex]] | MappingError:
     """Map every launch point of every task to a concrete processor."""
-    assignment = _assign(app, table, machine)
-    if isinstance(assignment, MappingError):
-        return assignment
+    assigned = _assign(app, table, machine, SimMemo())
+    if isinstance(assigned, MappingError):
+        return assigned
+    assignment, _ = assigned
     return {
         task.name: dict(zip(
             itertools.product(*map(range, _launch_domain(task))),
@@ -276,10 +342,15 @@ def _place_regions(app: ApplicationDescriptor, table: MappingDecisionTable,
 
 def simulate(app: ApplicationDescriptor, table: MappingDecisionTable,
              machine: MachineModel, params: CostParams,
-             ) -> SimResult | SimError:
-    assignment = _assign(app, table, machine)
-    if isinstance(assignment, MappingError):
-        return assignment
+             memo: Optional[SimMemo] = None) -> SimResult | SimError:
+    """Simulate ``app`` mapped by ``table`` on ``machine``.  A memo, kept
+    for one app on one machine, reuses the point assignments and link
+    totals of earlier calls; without one the call uses a fresh memo."""
+    memo = SimMemo() if memo is None else memo
+    assigned = _assign(app, table, machine, memo)
+    if isinstance(assigned, MappingError):
+        return assigned
+    assignment, keys = assigned
 
     placed = _place_regions(app, table, machine, assignment)
     if isinstance(placed, OutOfMemory):
@@ -322,16 +393,22 @@ def simulate(app: ApplicationDescriptor, table: MappingDecisionTable,
             task_total += t
         per_task[task.name] = task_total
 
-    # Communication time per link from the exchange rules.  Slot
-    # a * nodes + b holds link (a, b), a <= b; the last slot holds the
-    # inter-node bytes.
-    totals = np.zeros(machine.nodes * machine.nodes + 1)
-    for rule in app.exchanges:
-        task = app.task(rule.task)
-        mems = placement.get((task.name, rule.region), {})
-        count = machine.count(table.task_proc[task.name])
-        _charge_exchange(rule, task.domain, assignment[task.name], count,
-                         mems, machine, totals)
+    # Communication time per link from the exchange rules.
+    key = tuple((keys[rule.task],
+                 tuple(placement.get((rule.task, rule.region), {}).items()))
+                for rule in app.exchanges)
+    totals = memo.links.get(key)
+    if totals is None:
+        # Slot a * nodes + b holds link (a, b), a <= b; the last slot
+        # holds the inter-node bytes.
+        totals = memo.links[key] = np.zeros(machine.nodes * machine.nodes + 1)
+        for rule in app.exchanges:
+            task = app.task(rule.task)
+            mems = placement.get((task.name, rule.region), {})
+            count = machine.count(table.task_proc[task.name])
+            _charge_exchange(rule, task.domain, assignment[task.name], count,
+                             mems, machine, totals)
+        totals.flags.writeable = False
     link_time = totals[:-1].tolist()
     inter_node_bytes = float(totals[-1])
 
@@ -345,6 +422,9 @@ def simulate(app: ApplicationDescriptor, table: MappingDecisionTable,
         throughput = flops / wall
     else:
         throughput = app.iterations / wall
+    for name, value in (("wall time", wall), ("throughput", throughput)):
+        if not math.isfinite(value):
+            return MappingError(f"Simulation produced a non-finite {name}: {value}")
     return SimResult(
         wall_time=wall,
         throughput=throughput,

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from scipy import stats
 
-from mapforge import search
+from mapforge import search, simulator
 from mapforge.binder import DecisionDimension, decision_dimensions, table_from_choices
 from mapforge.feedback import (
     LEVEL_FULL, LEVEL_SYSTEM, FeedbackReport, default_rules, enhance, render,
@@ -705,6 +706,41 @@ def test_each_distinct_text_is_evaluated_once_per_run(monkeypatch, machine, cost
     assert len(evaluated) < len(texts)
     run(app, machine, costs, "hillclimb", ObjectiveSpec(budget=40), seed=5)
     assert len(evaluated) == 2 * len(set(texts))
+
+
+# -- one simulation step per distinct input ---------------------------------------
+
+
+@pytest.mark.parametrize("name", ["cannon", "solomonik"])
+def test_simulator_work_is_done_once_per_distinct_input(name, monkeypatch,
+                                                        machine, costs):
+    app = load_app_named(name)
+    calls = collections.Counter()
+    memos = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    class RecordedMemo(simulator.SimMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    for attr in ("eval_launch", "_charge_exchange"):
+        monkeypatch.setattr(simulator, attr, counting(getattr(simulator, attr)))
+    monkeypatch.setattr(search, "SimMemo", RecordedMemo)
+    trajectory = run(app, machine, costs, "hillclimb", ObjectiveSpec(budget=100),
+                     seed=3)
+    (memo,) = memos
+    texts = {r.candidate.program_text for r in trajectory.records}
+    # A task key names a closure exactly when a mapping function maps it.
+    assert calls["eval_launch"] == sum(key[3] is not None for key in memo.tasks)
+    assert calls["_charge_exchange"] == len(memo.links) * len(app.exchanges)
+    assert 0 < calls["eval_launch"] < len(texts)
+    assert 0 < calls["_charge_exchange"] < len(texts)
 
 
 # -- one text per distinct choices vector -----------------------------------------

@@ -1,9 +1,15 @@
 import itertools
+import math
+import re
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from mapforge.binder import decision_dimensions, resolve, table_from_choices
+from mapforge import search
+from mapforge.binder import decision_dimensions, emit, resolve, table_from_choices
+from mapforge.cli import EXIT_EXEC, main
 from mapforge.configs import (
     ApplicationDescriptor, CostParams, RegionSpec, TaskArg, TaskSpec,
     VariantSpec, load_app, load_costs, load_machine,
@@ -11,12 +17,14 @@ from mapforge.configs import (
 from mapforge.evaluator import corpus_path
 from mapforge.machine import MachineModel
 from mapforge.parser import parse_valid
+from mapforge.printer import print_program
 from mapforge.simulator import (
-    LayoutMismatch, MappingError, OutOfMemory, SimResult, assign_points,
-    simulate,
+    LayoutMismatch, MappingError, OutOfMemory, SimMemo, SimResult,
+    assign_points, simulate,
 )
 
 from conftest import APP_NAMES, expert_source, load_app_named
+from test_point_assignment import CASES, HEAD, one_task_app
 
 
 def expert_table(name, machine):
@@ -506,3 +514,138 @@ def test_default_block_on_a_missing_processor_kind_is_a_mapping_error(
     table = table_from_choices(app, default_choices(app))
     result = simulate(app, table, single_node_machine, costs)
     assert result == MappingError("no OMP processors on machine single-node")
+
+
+# -- non-finite results ------------------------------------------------------------
+
+
+def overflowing(tmp_path, fields, gpu_rate):
+    """cosma with each of ``fields`` at 1.0e+308 per point, on p100-cluster
+    with the GPU compute rate ``gpu_rate``: the app's and machine's paths.
+    Every value is finite; their products overflow."""
+    app_text = re.sub(rf"({'|'.join(fields)}): [0-9.e+]+", r"\1: 1.0e+308",
+                      corpus_path("apps", "cosma.app").read_text())
+    machine_text = corpus_path("machines", "p100-cluster.machine").read_text()
+    assert machine_text.count("compute_rate: 4.0e+12") == 1  # the GPU rate
+    machine_text = machine_text.replace("compute_rate: 4.0e+12",
+                                        f"compute_rate: {gpu_rate}")
+    (tmp_path / "huge.app").write_text(app_text)
+    (tmp_path / "slow.machine").write_text(machine_text)
+    return tmp_path / "huge.app", tmp_path / "slow.machine"
+
+
+def test_a_non_finite_score_is_an_execution_error(tmp_path, costs):
+    # Flops and wall time are both infinite, so their quotient would be NaN.
+    app_path, machine_path = overflowing(
+        tmp_path, ("flops_per_point", "bytes_per_point"), "1.0e-300")
+    app, machine = load_app(app_path), load_machine(machine_path)
+    table = resolve(parse_valid(expert_source("cosma")), app, machine)
+    assert simulate(app, table, machine, costs) == MappingError(
+        "Simulation produced a non-finite wall time: inf")
+    trajectory = search.run(app, machine, costs, "hillclimb",
+                            search.ObjectiveSpec(budget=40), seed=1)
+    assert all(r.score is None and r.best_so_far is None for r in trajectory.records)
+    assert {r.feedback.kind for r in trajectory.records} == {"ExecutionError"}
+    assert any("non-finite" in r.rendered_feedback for r in trajectory.records)
+
+
+def test_an_infinite_throughput_is_an_execution_error(tmp_path, costs):
+    # Only the flops sum overflows; the wall time stays finite.
+    app_path, machine_path = overflowing(tmp_path, ("flops_per_point",), "4.0e+12")
+    app, machine = load_app(app_path), load_machine(machine_path)
+    table = resolve(parse_valid(expert_source("cosma")), app, machine)
+    assert simulate(app, table, machine, costs) == MappingError(
+        "Simulation produced a non-finite throughput: inf")
+
+
+def test_simulate_command_exits_with_an_execution_error_on_a_non_finite_score(
+        tmp_path, capsys):
+    app_path, machine_path = overflowing(
+        tmp_path, ("flops_per_point", "bytes_per_point"), "1.0e-300")
+    code = main(["simulate", "--app", str(app_path), "--machine", str(machine_path),
+                 "--mapper", str(corpus_path("experts", "cosma.dsl"))])
+    out = capsys.readouterr().out
+    assert code == EXIT_EXEC
+    assert "non-finite wall time: inf" in out
+    assert "throughput=" not in out and "nan" not in out
+
+
+# -- reuse within a run ------------------------------------------------------------
+
+
+def simulate_shared(app, table, machine, costs, memo):
+    """``simulate`` with a shared memo, checked to the bit against a call
+    without one, which uses a fresh memo."""
+    got = simulate(app, table, machine, costs, memo)
+    want = simulate(app, table, machine, costs)
+    assert repr(got) == repr(want)
+    return got
+
+
+def text_table(text, app, machine):
+    table = resolve(parse_valid(text), app, machine)
+    assert not isinstance(table, list), table
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(APP_NAMES), st.booleans(), st.data())
+def test_a_shared_memo_gives_what_no_memo_gives(machine, single_node_machine, costs,
+                                                name, single_node, data):
+    # A run's texts differ from one another in a few decisions, so each
+    # step changes one dimension of the last vector, and every text is
+    # parsed afresh as in a run.
+    app = load_app_named(name)
+    machine = single_node_machine if single_node else machine
+    dims = decision_dimensions(app)
+    choices = [data.draw(st.sampled_from(dim.options)) for dim in dims]
+    memo = SimMemo()
+    for _ in range(data.draw(st.integers(1, 12))):
+        k = data.draw(st.integers(0, len(dims) - 1))
+        choices[k] = data.draw(st.sampled_from(dims[k].options))
+        text = print_program(emit(table_from_choices(app, choices, dims), app))
+        table = resolve(parse_valid(text), app, machine)
+        if not isinstance(table, list):
+            simulate_shared(app, table, machine, costs, memo)
+
+
+def test_a_shared_memo_keeps_each_mapping_error(machine, costs):
+    # The hand-written point-assignment cases, failing and out of bound
+    # ones among them, each seen twice by one memo per launch domain.
+    groups = {}
+    for function, domain, kind, outcome in CASES.values():
+        groups.setdefault((domain, kind), []).append((function, outcome))
+    for (domain, kind), cases in groups.items():
+        app = one_task_app(domain, kind)
+        memo = SimMemo()
+        for function, outcome in cases * 2:
+            text = HEAD.format(kind=kind) + function + "\nIndexTaskMap work f;\n"
+            result = simulate_shared(app, text_table(text, app, machine), machine,
+                                     costs, memo)
+            if isinstance(outcome, str):
+                assert result == MappingError(outcome)
+
+
+def test_a_binding_that_fails_is_the_same_error_when_seen_again(machine, costs):
+    app = one_task_app((8,), "GPU")
+    text = (HEAD.format(kind="GPU") + "s = m.split(1, 3);\n"
+            "def f(Task t) { return s[0, 0, 0]; }\nIndexTaskMap work f;\n")
+    memo = SimMemo()
+    for _ in range(2):
+        result = simulate_shared(app, text_table(text, app, machine), machine,
+                                 costs, memo)
+        assert result == MappingError(
+            "split factor 3 does not divide extent 4 of dimension 1")
+
+
+def test_functions_with_one_name_and_different_bodies_are_told_apart(machine, costs):
+    app = one_task_app((8,), "GPU")
+    memo = SimMemo()
+    results = []
+    for node in (0, 1, 0):
+        text = (HEAD.format(kind="GPU") + f"def f(Task t) {{ return m[{node}, "
+                "t.ipoint[0] % 4]; }\nIndexTaskMap work f;\n")
+        results.append(simulate_shared(app, text_table(text, app, machine),
+                                       machine, costs, memo))
+    assert results[0] != results[1] and results[0] == results[2]
+    assert len(memo.tasks) == 2
