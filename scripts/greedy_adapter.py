@@ -2,11 +2,17 @@
 """Reference external optimizer speaking the adapter wire protocol.
 
 Reads one JSON request per line on stdin and answers one JSON response
-per line on stdout (see docs/adapter_protocol.md).  The policy is a
-feedback-aware greedy sweep: keep the best vector seen, advance one
-dimension at a time through its options, and fall back to the first
-option everywhere on the first call.  It exists as a working example of
-the protocol, not as a strong optimizer.
+per line on stdout (see docs/adapter_protocol.md).  It keeps the run's
+history itself, as version 2 of the protocol asks: each request carries
+only the records it does not hold yet, from ``history_start`` on, and
+``history_start: 0`` starts the history over.  A request that starts
+anywhere else than at the end of what it holds gets an error object,
+and the client resends the whole history with the next request.
+
+The policy is a feedback-aware greedy sweep: keep the best vector seen,
+advance one dimension at a time through its options, and fall back to
+the first option everywhere on the first call.  It exists as a working
+example of the protocol, not as a strong optimizer.
 
 Usage:
     mapforge optimize --strategy external \
@@ -19,9 +25,8 @@ import sys
 
 def choose(request):
     domains = request["domains"]
-    history = request["history"]
     best = request.get("best_so_far")
-    if not history:
+    if request["iteration"] == 0:
         return [0] * len(domains)
     base = best["choices"] if best and best.get("choices") else [0] * len(domains)
     # Sweep: iteration k perturbs dimension k % n to its next option.
@@ -32,9 +37,17 @@ def choose(request):
 
 
 def main():
+    history = []
     for line in sys.stdin:
         request = json.loads(line)
-        response = {"vector": choose(request)}
+        if request["history_start"] == 0:
+            history = []
+        if request["history_start"] != len(history):
+            response = {"error": f"history_start {request['history_start']} "
+                                 f"is not the {len(history)} records held"}
+        else:
+            history += request["history"]
+            response = {"vector": choose(request)}
         print(json.dumps(response), flush=True)
 
 

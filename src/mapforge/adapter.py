@@ -6,6 +6,14 @@ body per iteration) or a subprocess command (one JSON line on stdin,
 one JSON line on stdout per iteration).  See docs/adapter_protocol.md
 for the field-by-field schema; the protocol is versioned.
 
+The adapter keeps its own copy of the run's history: a request carries
+only the records added since the last round that succeeded
+(``history_start`` onward), and ``history_start: 0`` tells the adapter
+to forget what it holds.  The client counts the records its adapter
+holds; the count drops to 0 after any failed round and whenever the
+subprocess is not running, so the next request resends the whole
+history.
+
 A response proposes either a decision vector (``vector``: one option
 index per dimension) or replacement DSL text for named program blocks
 (``blocks``).  Malformed responses and transport failures raise
@@ -26,7 +34,7 @@ from typing import Optional, Sequence
 
 from .binder import DecisionDimension, LayoutChoice
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 # Seconds an adapter has to answer one request, on either transport, and
 # a subprocess to exit once its input is closed.
@@ -58,12 +66,15 @@ def serialize_domains(dims: Sequence[DecisionDimension]) -> list[dict]:
 def build_request(app_name: str, machine_name: str,
                   dims: Sequence[DecisionDimension],
                   history: Sequence[dict],
-                  best: Optional[dict]) -> dict:
+                  best: Optional[dict], history_start: int = 0) -> dict:
+    """A request whose ``history`` holds the records from index
+    ``history_start`` of the run's history onward."""
     return {
         "version": PROTOCOL_VERSION,
         "app": app_name,
         "machine": machine_name,
-        "iteration": len(history),
+        "iteration": history_start + len(history),
+        "history_start": history_start,
         "domains": serialize_domains(dims),
         "history": list(history),
         "best_so_far": best,
@@ -111,23 +122,52 @@ class AdapterClient:
 
     def __init__(self, endpoint: str):
         self.endpoint = endpoint
+        self.run = os.urandom(16).hex()  # tells one run's HTTP requests apart
         self._proc: Optional[subprocess.Popen] = None
         self._unread = b""  # subprocess output past the last response line
+        self._held = 0  # history records the adapter holds
 
     @property
     def is_http(self) -> bool:
         return self.endpoint.startswith(("http://", "https://"))
 
+    @property
+    def held(self) -> int:
+        """How many history records the adapter holds, and so the
+        ``history_start`` of the next request: 0 before the first round
+        that succeeds, after a failed one, and while no subprocess runs."""
+        if not self.is_http and (self._proc is None or self._proc.poll() is not None):
+            return 0
+        return self._held
+
+    def forget(self) -> None:
+        """Mark the round as failed: the next request resends the whole
+        history."""
+        self._held = 0
+
     def propose(self, request: dict) -> str:
+        """One round: send ``request`` and return the raw response line.
+        A subprocess started during the round holds none of the history,
+        so a request that starts past 0 fails there and is resent whole."""
+        start = request.get("history_start", 0)
+        if self.is_http:
+            request = {**request, "run": self.run}
         payload = json.dumps(request, separators=(",", ":"))
+        proc, self._held = self._proc, 0  # 0 until this round succeeds
         try:
             if self.is_http:
-                return self._http_round(payload)
-            return self._subprocess_round(payload)
+                raw = self._http_round(payload)
+            else:
+                raw = self._subprocess_round(payload)
         except AdapterError:
             raise
         except Exception as exc:
             raise AdapterError(f"adapter transport failure: {exc}") from exc
+        if start and self._proc is not proc:
+            raise AdapterError("adapter subprocess restarted; "
+                               "the next request resends the history")
+        self._held = start + len(request.get("history", ()))
+        return raw
 
     def _http_round(self, payload: str) -> str:
         req = urllib.request.Request(
@@ -139,7 +179,8 @@ class AdapterClient:
     def _subprocess_round(self, payload: str) -> str:
         """Send one request line and read one response line.  An adapter
         that has not taken the request and answered a full line within
-        ROUND_TIMEOUT is killed; the next request starts a new one."""
+        ROUND_TIMEOUT, or that fails the round otherwise, is killed; the
+        next request starts a new one."""
         if self._proc is None or self._proc.poll() is not None:
             self.close()
             self._proc = subprocess.Popen(
@@ -150,25 +191,26 @@ class AdapterClient:
         request = memoryview((payload + "\n").encode())
         send, out = self._proc.stdin.fileno(), self._proc.stdout.fileno()
         deadline = time.monotonic() + ROUND_TIMEOUT
-        while b"\n" not in self._unread:
-            readable, writable, _ = select.select(
-                [out], [send] if request else [], [],
-                max(deadline - time.monotonic(), 0))
-            if not (readable or writable):
-                with self._proc:  # closes its pipes and waits
-                    self._proc.kill()
-                raise AdapterError(
-                    f"adapter subprocess sent no response within {ROUND_TIMEOUT} s")
-            if writable:
-                request = request[os.write(send, request):]
-            if readable:
-                chunk = os.read(out, 4096)
-                if not chunk:
-                    break
-                self._unread += chunk
-        line, newline, self._unread = self._unread.partition(b"\n")
-        if not (line or newline):
-            raise AdapterError("adapter subprocess closed its output")
+        try:
+            while b"\n" not in self._unread:
+                readable, writable, _ = select.select(
+                    [out], [send] if request else [], [],
+                    max(deadline - time.monotonic(), 0))
+                if not (readable or writable):
+                    raise AdapterError(
+                        f"adapter subprocess sent no response within {ROUND_TIMEOUT} s")
+                if writable:
+                    request = request[os.write(send, request):]
+                if readable:
+                    chunk = os.read(out, 4096)
+                    if not chunk:
+                        raise AdapterError("adapter subprocess closed its output")
+                    self._unread += chunk
+        except BaseException:
+            with self._proc:  # closes its pipes and waits
+                self._proc.kill()
+            raise
+        line, _, self._unread = self._unread.partition(b"\n")
         return line.decode()
 
     def close(self):

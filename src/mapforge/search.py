@@ -156,9 +156,13 @@ def exhaustive(history, dims, seed: int) -> dict:
 def external_strategy(client: AdapterClient, app_name: str,
                       machine_name: str) -> Strategy:
     """Wrap an adapter endpoint as a strategy; protocol errors surface as
-    AdapterError and are recorded as failed iterations."""
+    AdapterError and are recorded as failed iterations.  Each request
+    carries only the records the adapter does not hold yet."""
 
     def propose(history, dims, seed: int) -> dict:
+        start = client.held
+        if start > len(history):  # a new run on the same client
+            start = 0
         wire_history = [{
             "iteration": record.index,
             "choices": _wire_choices(record.candidate.choices, dims),
@@ -166,11 +170,21 @@ def external_strategy(client: AdapterClient, app_name: str,
             "feedback": record.rendered_feedback,
             "score": record.score,
             "best_so_far": record.best_so_far,
-        } for record in history]
+        } for record in history[start:]]
         i = _best_index(history)
-        best = {k: wire_history[i][k] for k in ("score", "choices", "program")} if i >= 0 else None
-        request = build_request(app_name, machine_name, dims, wire_history, best)
-        return parse_response(client.propose(request), dims)
+        best = None
+        if i >= 0:
+            record = history[i]
+            best = {"score": record.score,
+                    "choices": _wire_choices(record.candidate.choices, dims),
+                    "program": record.candidate.program_text}
+        request = build_request(app_name, machine_name, dims, wire_history,
+                                best, start)
+        try:
+            return parse_response(client.propose(request), dims)
+        except AdapterError:
+            client.forget()
+            raise
 
     return propose
 

@@ -16,6 +16,7 @@ from mapforge.binder import DecisionDimension, decision_dimensions
 from mapforge.search import ObjectiveSpec, external_strategy, run
 
 from conftest import load_app_named
+from test_search import reference_external_request
 
 ECHO_ADAPTER = """\
 import json, sys
@@ -51,6 +52,47 @@ for line in sys.stdin:
     print("not json at all", flush=True)
 """
 
+# Keeps the run's history as protocol version 2 asks, and logs what it
+# holds at each request.  Its move depends on that memory: the best
+# record it holds, with dimension len(memory) % n advanced.  The first
+# process to see iteration FAIL_AT fails there: it exits, hangs, or
+# loses its memory and so answers an error object.
+MEMORY_ADAPTER = """\
+import json, os, sys, time
+log_path, fail_at, failure = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+memory = []
+for line in sys.stdin:
+    request = json.loads(line)
+    start = request["history_start"]
+    if start == 0:
+        memory = []
+    failing = request["iteration"] == fail_at and not os.path.exists(log_path + ".failed")
+    if failing:
+        open(log_path + ".failed", "w").close()
+        if failure == "forget":
+            memory = []
+    accepted = start == len(memory)
+    if accepted:
+        memory += request["history"]
+    with open(log_path, "a") as log:
+        log.write(json.dumps({"pid": os.getpid(), "iteration": request["iteration"],
+                              "history_start": start,
+                              "memory": memory if accepted else None}) + "\\n")
+    if not accepted:
+        print(json.dumps({"error": "history_start is not the records held"}), flush=True)
+        continue
+    if failing and failure == "exit":
+        sys.exit(0)
+    if failing and failure == "timeout":
+        time.sleep(60)
+    scored = [r for r in memory if r["score"] is not None and r["choices"] is not None]
+    best = max(scored, key=lambda r: r["score"]) if scored else None
+    vector = list(best["choices"]) if best else [0] * len(request["domains"])
+    k = len(memory) % len(vector)
+    vector[k] = (vector[k] + 1) % len(request["domains"][k]["options"])
+    print(json.dumps({"vector": vector}), flush=True)
+"""
+
 
 def adapter_cmd(tmp_path, name, source, *args):
     path = tmp_path / name
@@ -69,12 +111,30 @@ def dims_of(*option_lists):
 def test_request_shape(stencil_app):
     dims = decision_dimensions(stencil_app)
     request = build_request("stencil", "m", dims, [], None)
-    assert request["version"] == 1
+    assert request["version"] == 2
     assert request["iteration"] == 0
+    assert request["history_start"] == 0
+    assert request["history"] == []
     assert len(request["domains"]) == len(dims)
     assert request["domains"][0] == {"id": ["proc", "apply_stencil"],
                                      "options": ["GPU", "CPU"]}
     json.dumps(request)  # everything on the wire must be serializable
+
+
+def test_a_delta_request_counts_iterations_from_its_start(stencil_app):
+    dims = decision_dimensions(stencil_app)
+    request = build_request("stencil", "m", dims, [{"iteration": 7}], None, 7)
+    assert (request["history_start"], request["iteration"]) == (7, 8)
+
+
+def test_setup_round_trip_of_a_bare_request(tmp_path, circuit_app):
+    # The benchmark starts an adapter with this call form and no run.
+    dims = decision_dimensions(circuit_app)
+    cmd = adapter_cmd(tmp_path, "echo.py", ECHO_ADAPTER)
+    with AdapterClient(cmd) as client:
+        raw = client.propose(build_request("circuit", "m", dims, [], None))
+        assert client.held == 0
+    assert parse_response(raw, dims) == {"choices": [d.options[0] for d in dims]}
 
 
 def test_layout_options_serialize(stencil_app):
@@ -243,15 +303,121 @@ def test_adapter_that_outlives_its_input_is_killed_on_close(monkeypatch, tmp_pat
     assert proc.poll() is not None
 
 
+def memory_run(tmp_path, machine, costs, fail_at=-1, failure="none", budget=20):
+    """A run against MEMORY_ADAPTER; returns the trajectory and the log."""
+    app = load_app_named("circuit")
+    log = tmp_path / f"{failure}.jsonl"
+    cmd = adapter_cmd(tmp_path, "memory.py", MEMORY_ADAPTER, log, fail_at, failure)
+    with AdapterClient(cmd) as client:
+        strategy = external_strategy(client, app.name, machine.name)
+        trajectory = run(app, machine, costs, strategy, ObjectiveSpec(budget=budget),
+                         seed=0)
+    return trajectory, [json.loads(line) for line in log.read_text().splitlines()]
+
+
+def assert_holds_the_full_history(trajectory, log):
+    """At each request it accepted, the adapter held exactly the wire
+    history a request of protocol version 1 carried."""
+    dims = decision_dimensions(load_app_named("circuit"))
+    for entry in log:
+        if entry["memory"] is not None:
+            records = trajectory.records[:entry["iteration"]]
+            assert entry["memory"] == reference_external_request(records, dims)[0]
+
+
+def test_adapter_holds_every_record_once(tmp_path, machine, costs):
+    trajectory, log = memory_run(tmp_path, machine, costs)
+    # Each request carries the one record the previous round added.
+    assert [(e["iteration"], e["history_start"]) for e in log] == [
+        (i, max(i - 1, 0)) for i in range(20)]
+    assert len({e["pid"] for e in log}) == 1
+    assert_holds_the_full_history(trajectory, log)
+    assert all(r.feedback.kind != "CompileError" for r in trajectory.records)
+    assert len({r.candidate.choices for r in trajectory.records}) > 5
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("exit", "adapter subprocess closed its output"),
+    ("timeout", "adapter subprocess sent no response within 2 s"),
+    ("forget", "adapter response needs either 'vector' or 'blocks'"),
+], ids=["exit", "timeout", "forget"])
+def test_adapter_that_fails_mid_run_gets_the_whole_history_again(
+        monkeypatch, tmp_path, machine, costs, failure, message):
+    monkeypatch.setattr(adapter, "ROUND_TIMEOUT", 2)
+    steady, _ = memory_run(tmp_path, machine, costs)
+    # Fail at a record that sets no new best, so that the adapter's later
+    # moves, read from the best record it holds, do not depend on it.
+    fail_at = next(i for i in range(5, 20)
+                   if steady.records[i].best_so_far == steady.records[i - 1].best_so_far)
+    trajectory, log = memory_run(tmp_path, machine, costs, fail_at, failure)
+
+    failed = trajectory.records[fail_at]
+    assert (failed.feedback.kind, failed.feedback.system_message) == (
+        "CompileError", message)
+
+    def outcome(r):
+        return (r.candidate.choices, r.candidate.program_text,
+                r.rendered_feedback, r.score, r.best_so_far)
+    assert ([outcome(r) for r in trajectory.records if r is not failed]
+            == [outcome(r) for r in steady.records if r.index != fail_at])
+    # The next request starts over at 0 and carries the whole history.
+    after = next(e for e in log if e["iteration"] == fail_at + 1)
+    assert after["history_start"] == 0 and len(after["memory"]) == fail_at + 1
+    assert all(e["history_start"] == max(e["iteration"] - 1, 0)
+               for e in log if e is not after)
+    pids = [e["pid"] for e in log]
+    assert len(set(pids)) == (1 if failure == "forget" else 2)
+    assert_holds_the_full_history(trajectory, log)
+
+
+def test_a_second_run_on_one_client_starts_over(tmp_path, machine, costs):
+    app = load_app_named("circuit")
+    log = tmp_path / "log.jsonl"
+    cmd = adapter_cmd(tmp_path, "memory.py", MEMORY_ADAPTER, log, -1, "none")
+    with AdapterClient(cmd) as client:
+        strategy = external_strategy(client, app.name, machine.name)
+        first, second = (run(app, machine, costs, strategy, ObjectiveSpec(budget=budget),
+                             seed=0) for budget in (6, 4))
+    entries = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [(e["iteration"], e["history_start"]) for e in entries] == [
+        (i, max(i - 1, 0)) for budget in (6, 4) for i in range(budget)]
+    assert_holds_the_full_history(first, entries[:6])
+    assert_holds_the_full_history(second, entries[6:])
+
+
+def test_an_adapter_restarted_before_the_round_fails_it(tmp_path):
+    cmd = adapter_cmd(tmp_path, "echo.py", ECHO_ADAPTER)
+    with AdapterClient(cmd) as client:
+        request = {"domains": [], "best_so_far": None, "history": [{}]}
+        client.propose({**request, "history_start": 0})
+        assert client.held == 1
+        client._proc.kill()
+        client._proc.wait()
+        assert client.held == 0
+        with pytest.raises(AdapterError, match="restarted"):
+            client.propose({**request, "history_start": 1})
+        assert client.held == 0
+
+
 # -- HTTP transport ------------------------------------------------------------
 
 
 class _VectorHandler(BaseHTTPRequestHandler):
+    """Answers the all-zero vector, and keeps each run's history, told
+    apart by its ``run`` id, in ``server.histories``."""
+
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         request = json.loads(self.rfile.read(length))
-        vector = [0] * len(request["domains"])
-        body = json.dumps({"vector": vector}).encode()
+        history = self.server.histories.setdefault(request["run"], [])
+        if request["history_start"] == 0:
+            history.clear()
+        if request["history_start"] == len(history):
+            history += request["history"]
+            response = {"vector": [0] * len(request["domains"])}
+        else:
+            response = {"error": "history_start is not the records held"}
+        body = json.dumps(response).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -263,20 +429,40 @@ class _VectorHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def http_endpoint():
+def http_server():
     server = HTTPServer(("127.0.0.1", 0), _VectorHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server.histories = {}
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/"
+    server.url = f"http://127.0.0.1:{server.server_port}/"
+    yield server
     server.shutdown()
 
 
-def test_http_adapter_round_trip(http_endpoint, machine, costs):
+def http_run(url, machine, costs, budget):
     app = load_app_named("toy16")
-    with AdapterClient(http_endpoint) as client:
+    with AdapterClient(url) as client:
         strategy = external_strategy(client, app.name, machine.name)
-        trajectory = run(app, machine, costs, strategy, ObjectiveSpec(budget=2),
+        trajectory = run(app, machine, costs, strategy, ObjectiveSpec(budget=budget),
                          seed=0)
+    return client.run, trajectory
+
+
+def test_http_adapter_round_trip(http_server, machine, costs):
+    _, trajectory = http_run(http_server.url, machine, costs, 2)
     assert all(r.candidate.choices == ("GPU", "GPU", "GPU", "GPU")
                for r in trajectory.records)
     assert trajectory.best_score is not None
+
+
+def test_http_runs_on_one_endpoint_keep_their_own_histories(http_server, machine, costs):
+    dims = decision_dimensions(load_app_named("toy16"))
+    first, one = http_run(http_server.url, machine, costs, 5)
+    second, two = http_run(http_server.url, machine, costs, 3)
+    assert first != second
+    # The last record of a run is never sent: no request follows it.
+    assert http_server.histories == {
+        first: reference_external_request(one.records[:-1], dims)[0],
+        second: reference_external_request(two.records[:-1], dims)[0]}
+    assert all(r.feedback.kind != "CompileError"
+               for r in one.records + two.records)

@@ -324,8 +324,17 @@ ENTRIES = st.lists(st.tuples(
 
 
 class RecordingClient:
+    """Keeps the deltas of successive requests, as an adapter would."""
+
+    def __init__(self):
+        self.held = 0
+        self.deltas = []
+
     def propose(self, request):
+        assert request["history_start"] == self.held
         self.request = request
+        self.deltas.append(request["history"])
+        self.held = request["iteration"]
         return json.dumps({"vector": [0] * len(request["domains"])})
 
 
@@ -339,13 +348,17 @@ def test_best_record_matches_the_full_scan_reference(entries, seed):
                           for choices, score in entries])
     assert (hill_climb(history, BEST_DIMS, seed)
             == reference_hill_climb(history, BEST_DIMS, seed))
-    # A mixed history, as an external optimizer makes it.
+    # A mixed history, as an external optimizer makes it, proposed from
+    # one prefix after another on one client.
     history = history_of(entries)
-    wire_history, best = reference_external_request(history, BEST_DIMS)
     client = RecordingClient()
-    external_strategy(client, "app", "machine")(history, BEST_DIMS, seed)
-    assert client.request["history"] == wire_history
-    assert client.request["best_so_far"] == best
+    strategy = external_strategy(client, "app", "machine")
+    for i in range(len(history) + 1):
+        strategy(history[:i], BEST_DIMS, seed)
+        wire_history, best = reference_external_request(history[:i], BEST_DIMS)
+        assert client.request["best_so_far"] == best
+        assert client.request["iteration"] == i
+    assert [entry for delta in client.deltas for entry in delta] == wire_history
     if best is not None and best["choices"] is None:
         # The best record is a program: hill climbing restarts at random.
         assert (hill_climb(history, BEST_DIMS, seed)
