@@ -49,10 +49,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .ast import (
-    ATTRIBUTES, COMPARE_OPS, METHODS, SPACE_METHODS, Attr, BinOp, Call, Expr,
-    FuncDef, IntLit, LocalAssign, MachineExpr, MapperProgram, MethodCall, Name,
-    ReturnStmt, Splat, Subscript, Ternary, TupleLit, entry_signature_error,
-    no_elements, no_member,
+    ATTRIBUTES, COMPARE_OPS, METHODS, SPACE_METHODS, AssignStmt, Attr, BinOp,
+    Call, Expr, FuncDef, IntLit, LocalAssign, MachineExpr, MapperProgram,
+    MethodCall, Name, ReturnStmt, Splat, Subscript, Ternary, TupleLit,
+    entry_signature_error, no_elements, no_member,
 )
 from .machine import MachineModel, ProcIndex, ProcessorSpace, SpaceError, machine_space
 
@@ -588,7 +588,9 @@ def corpus_path(*parts: str) -> Path:
 @functools.cache
 def builtin_program() -> MapperProgram:
     """All bundled mapping functions and their transformation preludes,
-    merged into one program.
+    merged into one program.  A top-level binding equal to the one
+    already in force for its name is left out, so that a file can bind
+    what it uses (``m = Machine(GPU);``) and still be loaded alone.
 
     The files are parsed on the first call only; later calls return the
     same program.  It is immutable: its ``functions`` and ``bindings``
@@ -599,12 +601,13 @@ def builtin_program() -> MapperProgram:
     from .parser import parse_valid
 
     statements = []
+    in_force: dict[str, AssignStmt] = {}
     for filename in _BUILTIN_FILES:
         text = corpus_path("builtins", filename).read_text()
-        statements.extend(parse_valid(text).statements)
+        for stmt in parse_valid(text).statements:
+            if isinstance(stmt, AssignStmt):
+                if in_force.get(stmt.name) == stmt:
+                    continue
+                in_force[stmt.name] = stmt
+            statements.append(stmt)
     return MapperProgram(tuple(statements))
-
-
-def builtin_library() -> dict[str, FuncDef]:
-    """Bundled mapping functions by name."""
-    return builtin_program().functions

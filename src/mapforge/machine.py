@@ -34,7 +34,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .ast import MEM_KINDS, PROC_KINDS
+from .ast import PROC_KINDS
 
 
 class SpaceError(ValueError):
@@ -270,16 +270,3 @@ def machine_space(model: MachineModel, kind: str) -> ProcessorSpace:
         raise SpaceError(f"no processors of kind {kind} on machine {model.name}")
     return ProcessorSpace(kind, (model.nodes, count), (model.nodes, count))
 
-
-def default_machine(nodes: int = 2, gpus: int = 4, cpus: int = 4) -> MachineModel:
-    """A small fixed machine used in tests and examples."""
-    return MachineModel(
-        name="default",
-        nodes=nodes,
-        proc_counts={"CPU": cpus, "GPU": gpus, "OMP": cpus},
-        mem_capacity={m: 16e9 for m in MEM_KINDS},
-        bandwidth={},
-        latency={"CPU": 1e-6, "GPU": 1e-5, "OMP": 2e-6},
-        compute_rate={"CPU": 1e11, "GPU": 5e12, "OMP": 4e11},
-        concurrency={"CPU": 1, "GPU": 8, "OMP": 1},
-    )

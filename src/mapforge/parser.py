@@ -51,13 +51,28 @@ deep, counting each parenthesis, argument list, subscript and ternary
 branch and each operator or postfix access in a chain, so that no
 recursive pass over the tree (parser, validator, printer, interpreter)
 can exhaust the Python stack.
+
+A search run parses many texts that share most lines, so ``parse``
+takes a :class:`CompileMemo`.  It keeps each statement that makes up
+whole lines (from the first token of a line to the last token of a
+line) under (first line number, the texts of the lines it spans).  That
+is sound because a statement's parse reads only its own tokens, and the
+same lines at the same line numbers give the same tokens, positions
+included: a kept statement is the very statement a fresh parse of those
+lines builds.  Only the lines between kept statements are tokenized and
+parsed.  A syntax error there, or a statement that runs on into a kept
+one, sends the rest of the text through a whole parse, so diagnostics
+are those of a parse without a memo: an illegal character on any line
+is still reported before a syntax error.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from sys import intern
+from typing import NamedTuple, Optional
 
 from .ast import (
     ALIGN_OPS, COMPARE_OPS, IDENT, LAYOUT_KEYWORDS, MEM_ALIASES, MEM_KINDS,
@@ -99,6 +114,23 @@ class Token(NamedTuple):
         return self.text
 
 
+@dataclass
+class CompileMemo:
+    """What ``parse`` and ``validator.validate`` reuse within one run.
+
+    ``statements`` maps (first line number, then the text of each line
+    the statement spans) to a statement that spans whole lines, and
+    ``spans`` maps (line number, line text) to the line counts of the
+    kept statements of more than one line that begin there.  ``checks``
+    maps the id of a statement to (the statement, what ``validate``
+    finds in it alone); the entry holds the statement, so that its id is
+    not reused.  Nothing is evicted, so a memo is kept for one run only.
+    """
+    statements: dict = field(default_factory=dict)
+    spans: dict = field(default_factory=dict)
+    checks: dict = field(default_factory=dict)
+
+
 class _SyntaxFailure(Exception):
     def __init__(self, line: int, col: int, message: str):
         super().__init__(message)
@@ -107,28 +139,40 @@ class _SyntaxFailure(Exception):
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize DSL source; raises _SyntaxFailure on an illegal character."""
+    lines = source.split("\n")
+    return [*_tokens(lines, 0, len(lines)), _eof(lines)]
+
+
+def _tokens(lines: list[str], start: int, end: int) -> list[Token]:
+    """The tokens of the lines from line start + 1 up to line end."""
+    return [tok for i in range(start, end) for tok in _tokenize_line(i + 1, lines[i])]
+
+
+def _tokenize_line(line: int, text: str) -> list[Token]:
     tokens: list[Token] = []
     append, new_token = tokens.append, tuple.__new__  # skips Token's Python __new__
-    for line, text in enumerate(source.split("\n"), 1):
-        col = 1
-        for match in _TOKEN.findall(text):
-            kind = _KINDS.get(match[0], "")
-            if kind == "IDENT":
-                append(new_token(Token, (kind, match, line, col)))
-            elif match in _SYMBOLS:
-                append(new_token(Token, (match, match, line, col)))
-            elif kind == "INT":
-                if len(match) > MAX_DIGITS:
-                    raise _SyntaxFailure(
-                        line, col,
-                        f"Syntax error, integer literal longer than {MAX_DIGITS} digits")
-                append(new_token(Token, (kind, match, line, col)))
-            elif kind is not None:
+    col = 1
+    for match in _TOKEN.findall(text):
+        kind = _KINDS.get(match[0], "")
+        if kind == "IDENT":  # interned: a run's memo keeps many copies of few names
+            append(new_token(Token, (kind, intern(match), line, col)))
+        elif match in _SYMBOLS:
+            append(new_token(Token, (match, match, line, col)))
+        elif kind == "INT":
+            if len(match) > MAX_DIGITS:
                 raise _SyntaxFailure(
-                    line, col, f"Syntax error, unexpected character {match!r}")
-            col += len(match)
-    append(Token("EOF", "", line, len(text) + 1))
+                    line, col,
+                    f"Syntax error, integer literal longer than {MAX_DIGITS} digits")
+            append(new_token(Token, (kind, match, line, col)))
+        elif kind is not None:
+            raise _SyntaxFailure(
+                line, col, f"Syntax error, unexpected character {match!r}")
+        col += len(match)
     return tokens
+
+
+def _eof(lines: list[str]) -> Token:
+    return Token("EOF", "", len(lines), len(lines[-1]) + 1)
 
 
 class _Parser:
@@ -182,11 +226,12 @@ class _Parser:
 
     # -- top level -----------------------------------------------------
 
-    def parse_program(self) -> MapperProgram:
-        statements: list[Statement] = []
-        while self.types[self.pos] != "EOF":
-            statements.append(self._statement())
-        return MapperProgram(tuple(statements))
+    def _whole_lines(self, start: int) -> bool:
+        """Whether the tokens from ``start`` up to the current one make up
+        whole lines."""
+        tokens, end = self.tokens, self.pos
+        return ((start == 0 or tokens[start - 1].line < tokens[start].line)
+                and (tokens[end].type == "EOF" or tokens[end].line > tokens[end - 1].line))
 
     def _statement(self) -> Statement:
         tok = self.tokens[self.pos]
@@ -494,13 +539,73 @@ _STATEMENT_RULES = {
 }
 
 
-def parse(source: str) -> MapperProgram | list[Diagnostic]:
-    """Parse DSL source into a program, or diagnostics on failure."""
+def parse(source: str, memo: Optional[CompileMemo] = None,
+          ) -> MapperProgram | list[Diagnostic]:
+    """Parse DSL source into a program, or diagnostics on failure.  A
+    memo, kept for one run, reuses the statements of earlier calls;
+    without one the call uses a fresh memo."""
+    memo = CompileMemo() if memo is None else memo
     try:
-        tokens = tokenize(source)
-        return _Parser(tokens).parse_program()
+        return _parse(source.split("\n"), memo)
     except _SyntaxFailure as exc:
         return [exc.diagnostic]
+
+
+def _parse(lines: list[str], memo: CompileMemo) -> MapperProgram:
+    statements: list[Statement] = []
+    i = 0  # the next statement begins on line i + 1 or later, at a line's first token
+    while i < len(lines):
+        stmt, span = _kept_statement(memo, lines, i)
+        if stmt is not None:
+            statements.append(stmt)
+            i += span
+            continue
+        end = i + 1  # parse the lines up to the next kept statement
+        while end < len(lines) and _kept_statement(memo, lines, end)[0] is None:
+            end += 1
+        before = len(statements)
+        try:
+            parser = _Parser([*_tokens(lines, i, end), _eof(lines)])
+            while parser.types[parser.pos] != "EOF":
+                start = parser.pos
+                statements.append(parser._statement())
+                if parser._whole_lines(start):
+                    _keep(memo, lines, statements[-1], parser.tokens[start].line,
+                          parser.tokens[parser.pos - 1].line)
+        except _SyntaxFailure:
+            # A syntax error, or a statement that runs on past line ``end``:
+            # parse the rest of the text whole, which reports an illegal
+            # character on any later line first, as without a memo.
+            del statements[before:]
+            parser = _Parser([*_tokens(lines, i, len(lines)), _eof(lines)])
+            while parser.types[parser.pos] != "EOF":
+                statements.append(parser._statement())
+            break
+        i = end
+    return MapperProgram(tuple(statements))
+
+
+def _keep(memo: CompileMemo, lines: list[str], stmt: Statement,
+          first: int, last: int) -> None:
+    """Keep ``stmt``, which spans the whole lines first to last."""
+    memo.statements[(first, *lines[first - 1:last])] = stmt
+    if last > first:
+        memo.spans.setdefault((first, lines[first - 1]), set()).add(last - first + 1)
+
+
+def _kept_statement(memo: CompileMemo, lines: list[str], i: int,
+                    ) -> tuple[Optional[Statement], int]:
+    """The statement ``memo`` keeps for the lines from line i + 1 on, and
+    the number of lines it spans; (None, 0) when it keeps none."""
+    first = (i + 1, lines[i])
+    stmt = memo.statements.get(first)
+    if stmt is not None:
+        return stmt, 1
+    for span in memo.spans.get(first, ()):
+        stmt = memo.statements.get((*first, *lines[i + 1:i + span]))
+        if stmt is not None:
+            return stmt, span
+    return None, 0
 
 
 def parse_valid(source: str) -> MapperProgram:

@@ -24,10 +24,13 @@ deterministic given (history, seed).
 A run evaluates each distinct program text once; a repeated text reuses
 the result and system feedback of its first evaluation.  Likewise a run
 turns each distinct choices vector into text once: a repeated vector
-reuses its printed text, or the compile error its table raised.  And a
-new text reuses, through one ``simulator.SimMemo`` per run, each task's
+reuses its printed text, or the compile error its table raised.  A new
+text reuses, through one ``simulator.SimMemo`` per run, each task's
 point assignment and the exchange link totals that an earlier text with
-the same inputs computed.
+the same inputs computed.  And through one ``parser.CompileMemo`` per
+run, a new text reuses each statement that an earlier text had on the
+same lines at the same line numbers, parsed, and what the validator
+found in it alone.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .feedback import (
     LEVEL_FULL, EnhancerRule, FeedbackReport, classify, enhance, render,
 )
 from .machine import MachineModel
-from .parser import parse
+from .parser import CompileMemo, parse
 from .printer import print_program
 from .simulator import MappingError, SimMemo, SimResult, simulate
 from .validator import validate
@@ -213,13 +216,16 @@ STRATEGIES = {
 # --------------------------------------------------------------------------
 
 
-def compile_program(text: str) -> Union[MapperProgram, list[Diagnostic]]:
+def compile_program(text: str, memo: Optional[CompileMemo] = None,
+                    ) -> Union[MapperProgram, list[Diagnostic]]:
     """The compile step: parse and validate one program text.  Returns
-    the program, or the diagnostics of the first stage that fails."""
-    program = parse(text)
+    the program, or the diagnostics of the first stage that fails.  A
+    memo, kept for one run, reuses the statements of earlier texts."""
+    memo = CompileMemo() if memo is None else memo
+    program = parse(text, memo)
     if isinstance(program, list):
         return program
-    return validate(program) or program
+    return validate(program, memo) or program
 
 
 def simulate_program(program: MapperProgram, app: ApplicationDescriptor,
@@ -241,6 +247,7 @@ def simulate_program(program: MapperProgram, app: ApplicationDescriptor,
 def evaluate_program(text: str, app: ApplicationDescriptor,
                      machine: MachineModel, costs: CostParams,
                      memo: Optional[SimMemo] = None,
+                     compile_memo: Optional[CompileMemo] = None,
                      ) -> tuple[Union[SimResult, None], FeedbackReport]:
     """Compile, resolve, and simulate one candidate program; returns the
     result (None on failure) and its system-level feedback.
@@ -250,7 +257,7 @@ def evaluate_program(text: str, app: ApplicationDescriptor,
     step, an ExecutionError from the run step.
     """
     try:
-        program = compile_program(text)
+        program = compile_program(text, compile_memo)
     except Exception as exc:
         program = [Diagnostic("error", 1, 1, _escaped(exc))]
     if isinstance(program, list):
@@ -288,10 +295,12 @@ def run(app: ApplicationDescriptor, machine: MachineModel, costs: CostParams,
     best_score: Optional[float] = None
     # Compiling and evaluating are deterministic, so a repeated choices
     # vector reuses its text, a repeated text its outcome, and a new text
-    # the simulator's work for the parts it shares with earlier ones.
+    # the compiler's and the simulator's work for the parts it shares
+    # with earlier ones.
     printed: dict[tuple, Union[str, FeedbackReport]] = {}
     evaluated: dict[str, tuple[Optional[SimResult], FeedbackReport]] = {}
     memo = SimMemo()
+    compile_memo = CompileMemo()
 
     for iteration in range(objective.budget):
         candidate, failure = _propose(strategy_fn, trajectory.records, dims,
@@ -302,7 +311,8 @@ def run(app: ApplicationDescriptor, machine: MachineModel, costs: CostParams,
         else:
             text = candidate.program_text
             if text not in evaluated:
-                evaluated[text] = evaluate_program(text, app, machine, costs, memo)
+                evaluated[text] = evaluate_program(text, app, machine, costs,
+                                                   memo, compile_memo)
             result, report = evaluated[text]
             score = result.throughput if result is not None else None
         report = enhance(report, rules, feedback_level)

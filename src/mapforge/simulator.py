@@ -30,11 +30,10 @@ loop over the points and pairs, so results are the same to the bit.
 A search run passes a :class:`SimMemo`, because its candidates share
 most decisions.  A task's points depend only on its processor kind, its
 mapping function and the closure that function runs in (the table's
-bindings and functions, compared as ASTs since every text is parsed
-afresh), and the link totals only on the exchanging tasks' points and
-their regions' memories per node.  So a run maps each task once per
-distinct such input, and charges the exchanges once per distinct
-sequence of them.  A miss computes from zero, and a hit returns what
+bindings and functions), and the link totals only on the exchanging
+tasks' points and their regions' memories per node.  So a run maps each
+task once per distinct such input, and charges the exchanges once per
+distinct sequence of them.  A miss computes from zero, and a hit returns what
 that miss computed, kept read-only, so a call gives the same result and
 error text to the bit with a fresh memo (what a call without one uses)
 as with a shared one.
@@ -124,8 +123,15 @@ SimError = Union[OutOfMemory, LayoutMismatch, MappingError]
 class SimMemo:
     """What ``simulate`` reuses within one run, for one app on one machine.
 
-    ``closures`` maps a table's closure, its bindings and functions, to
-    (closure id, its environment or MappingError).  ``tasks`` maps
+    ``closures`` maps a table's closure, its bindings and functions
+    compared as ASTs, to (closure id, its environment or MappingError).
+    ``identities`` maps the ids of a closure's statements to (that
+    entry, the statements): a run's compile memo gives texts the same
+    statement objects, so most tables are found by identity without
+    hashing their ASTs.  The entry holds the statements, so no other
+    object takes their ids while the memo lives.  Equal but distinct
+    statements miss there and are then found by comparing them; no key
+    gives another closure's entry.  ``tasks`` maps
     (task, processor kind, function name, closure id or None without a
     function) to the task's (N, 2) processor rows or its MappingError.
     ``links`` maps the exchange inputs, each exchange's task key and
@@ -134,16 +140,22 @@ class SimMemo:
     (N, 2) array per task key, so it is kept for one run only.
     """
     closures: dict = field(default_factory=dict)
+    identities: dict = field(default_factory=dict)
     tasks: dict = field(default_factory=dict)
     links: dict = field(default_factory=dict)
 
     def closure(self, table: MappingDecisionTable, machine: MachineModel,
                 ) -> tuple[int, EvalEnv | MappingError]:
-        key = (table.bindings, tuple(table.functions.items()))
-        entry = self.closures.get(key)
-        if entry is None:
-            entry = self.closures[key] = (len(self.closures), _env(table, machine))
-        return entry
+        statements = table.bindings + tuple(table.functions.values())
+        key = tuple(map(id, statements))
+        found = self.identities.get(key)
+        if found is None:
+            entry = self.closures.get(statements)
+            if entry is None:
+                entry = self.closures[statements] = (len(self.closures),
+                                                     _env(table, machine))
+            found = self.identities[key] = (entry, statements)
+        return found[0]
 
 
 # --------------------------------------------------------------------------

@@ -10,9 +10,21 @@ no chain of nested calls is longer than ``MAX_CALL_DEPTH``.
 The checks use a small type inference over the value kinds of
 ``ast`` (int / tuple / space / processor / task) and "unknown";
 anything that cannot be decided statically is left to evaluation time.
+
+``validate`` takes the parser's :class:`~mapforge.parser.CompileMemo`.
+What it finds in one statement alone (the structural errors, and the
+names and calls of each expression) is kept under the statement's id.
+The entry holds the statement, so no other object can take that id
+while the memo lives, and statements are immutable.  The checks that
+span statements (names against the program's bindings and functions,
+call arity, recursion and call depth, type inference and the
+entry-function rule) run on the whole program every time, in the same
+order, so the diagnostics are those of a call without a memo.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Optional
 
 from .ast import (
     ATTRIBUTES, COMPARE_OPS, DIM_ORDERS, ELEMENTS, FIELD_LAYOUTS, METHODS,
@@ -22,6 +34,7 @@ from .ast import (
     RegionStmt, ReturnStmt, SingleTaskMapStmt, Splat, Subscript, TaskStmt,
     Ternary, TupleLit, entry_signature_error, no_elements, no_member,
 )
+from .parser import CompileMemo
 
 # Most calls a chain of nested calls may hold, counted from a mapping
 # function or a top-level binding.  A body nested ``MAX_NESTING`` levels
@@ -55,44 +68,29 @@ def _error(node, message: str) -> Diagnostic:
 
 def expr_names(expr: Expr) -> set[str]:
     """All variable and function names referenced by an expression."""
-    names = set()
-    for node in _walk(expr):
-        if isinstance(node, Name):
-            names.add(node.ident)
-        elif isinstance(node, Call):
-            names.add(node.func)
-    return names
+    return _uses(expr)[0]
 
 
 def free_names(func: FuncDef) -> set[str]:
     """Names a function body needs from the enclosing program scope."""
-    bound = {p.name for p in func.params}
-    free: set[str] = set()
-    for stmt in func.body:
-        expr = stmt.expr
-        free |= expr_names(expr) - bound
-        if isinstance(stmt, LocalAssign):
-            bound.add(stmt.name)
-    return free
+    return set().union(*(needed for _, needed, _ in _statement_facts(func).uses))
 
 
-def called_functions(func: FuncDef) -> set[str]:
+def _uses(expr: Expr) -> tuple[set[str], tuple[tuple[str, int], ...]]:
+    """The variable and function names ``expr`` refers to, and its calls
+    as (function name, argument count) in pre-order."""
     names: set[str] = set()
-    for stmt in func.body:
-        names |= _calls_in(stmt.expr)
-    return names
-
-
-def _calls_in(expr: Expr) -> set[str]:
-    return {node.func for node in _walk(expr) if isinstance(node, Call)}
-
-
-def _walk(expr: Expr) -> list[Expr]:
-    """``expr`` and every expression nested in it."""
-    nodes = [expr]
-    for node in nodes:
-        nodes.extend(_children(node))
-    return nodes
+    calls = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Name):
+            names.add(node.ident)
+        elif isinstance(node, Call):
+            names.add(node.func)
+            calls.append((node.func, len(node.args)))
+        stack.extend(reversed(_children(node)))
+    return names, tuple(calls)
 
 
 # --------------------------------------------------------------------------
@@ -194,7 +192,87 @@ class _Inference:
 # --------------------------------------------------------------------------
 
 
-def validate(program: MapperProgram) -> list[Diagnostic]:
+class _Facts(NamedTuple):
+    """What ``validate`` finds in one statement alone.
+
+    ``errors`` are its structural errors.  ``uses`` holds, for each
+    expression owner (a top-level binding, or each statement of a
+    function body), the owner, the names it needs from the program
+    scope, and its calls as (function name, argument count) in
+    pre-order.  ``callees`` names every function the statement calls.
+    """
+
+    errors: tuple[Diagnostic, ...]
+    uses: tuple[tuple[object, frozenset[str], tuple[tuple[str, int], ...]], ...]
+    callees: frozenset[str]
+
+
+# The facts of most statements, shared to keep the memo small.
+_NO_FACTS = _Facts((), (), frozenset())
+
+
+def _facts(stmt, checks: dict) -> _Facts:
+    """The facts of ``stmt``, kept in ``checks`` under its id."""
+    entry = checks.get(id(stmt))
+    if entry is None:
+        entry = checks[id(stmt)] = (stmt, _statement_facts(stmt))
+    return entry[1]
+
+
+def _statement_facts(stmt) -> _Facts:
+    errors = []
+    uses = []
+    if isinstance(stmt, TaskStmt):
+        seen = set()
+        for proc in stmt.procs:
+            if proc in seen:
+                errors.append(_error(stmt, f"duplicate processor kind {proc}"))
+            seen.add(proc)
+    elif isinstance(stmt, RegionStmt):
+        seen = set()
+        for mem in stmt.memories:
+            if mem in seen:
+                errors.append(_error(stmt, f"duplicate memory kind {mem}"))
+            seen.add(mem)
+    elif isinstance(stmt, InstanceLimitStmt):
+        if stmt.limit < 1:
+            errors.append(_error(stmt, "instance limit must be at least 1"))
+    elif isinstance(stmt, LayoutStmt):
+        for keywords in (FIELD_LAYOUTS, DIM_ORDERS):
+            if sum(c in keywords for c in stmt.constraints) > 1:
+                errors.append(_error(
+                    stmt, f"conflicting layout constraints: at most one of "
+                          f"{', '.join(keywords)}"))
+        aligns = [c for c in stmt.constraints if isinstance(c, Align)]
+        if len(aligns) > 1:
+            errors.append(_error(
+                stmt, "conflicting layout constraints: at most one Align"))
+        for align in aligns:
+            if align.bytes < 1 or align.bytes & (align.bytes - 1):
+                errors.append(_error(
+                    stmt, f"alignment must be a power of two, got {align.bytes}"))
+    elif isinstance(stmt, AssignStmt):
+        names, calls = _uses(stmt.expr)
+        uses.append((stmt, frozenset(names), calls))
+    elif isinstance(stmt, FuncDef):
+        bound = {p.name for p in stmt.params}
+        for body_stmt in stmt.body:
+            names, calls = _uses(body_stmt.expr)
+            uses.append((body_stmt, frozenset(names - bound), calls))
+            if isinstance(body_stmt, LocalAssign):
+                bound.add(body_stmt.name)
+    if not (errors or uses):
+        return _NO_FACTS
+    callees = frozenset(callee for _, _, calls in uses for callee, _ in calls)
+    return _Facts(tuple(errors), tuple(uses), callees)
+
+
+def validate(program: MapperProgram,
+             memo: Optional[CompileMemo] = None) -> list[Diagnostic]:
+    """The program's diagnostics, empty iff it is well-formed.  A memo,
+    kept for one run, reuses what earlier calls found in each statement
+    alone; without one the call uses a fresh memo."""
+    checks = (CompileMemo() if memo is None else memo).checks
     diagnostics: list[Diagnostic] = []
     functions: dict[str, FuncDef] = {}
     global_names: set[str] = set()
@@ -209,73 +287,29 @@ def validate(program: MapperProgram) -> list[Diagnostic]:
         elif isinstance(stmt, AssignStmt):
             global_names.add(stmt.name)
 
+    facts = [_facts(stmt, checks) for stmt in program.statements]
+
     # Statement-local structural checks.
-    for stmt in program.statements:
-        if isinstance(stmt, TaskStmt):
-            seen = set()
-            for proc in stmt.procs:
-                if proc in seen:
-                    diagnostics.append(_error(stmt, f"duplicate processor kind {proc}"))
-                seen.add(proc)
-        elif isinstance(stmt, RegionStmt):
-            seen = set()
-            for mem in stmt.memories:
-                if mem in seen:
-                    diagnostics.append(_error(stmt, f"duplicate memory kind {mem}"))
-                seen.add(mem)
-        elif isinstance(stmt, InstanceLimitStmt):
-            if stmt.limit < 1:
-                diagnostics.append(_error(stmt, "instance limit must be at least 1"))
-        elif isinstance(stmt, LayoutStmt):
-            for keywords in (FIELD_LAYOUTS, DIM_ORDERS):
-                if sum(c in keywords for c in stmt.constraints) > 1:
-                    diagnostics.append(_error(
-                        stmt, f"conflicting layout constraints: at most one of "
-                              f"{', '.join(keywords)}"))
-            aligns = [c for c in stmt.constraints if isinstance(c, Align)]
-            if len(aligns) > 1:
-                diagnostics.append(_error(
-                    stmt, "conflicting layout constraints: at most one Align"))
-            for align in aligns:
-                if align.bytes < 1 or align.bytes & (align.bytes - 1):
-                    diagnostics.append(_error(
-                        stmt, f"alignment must be a power of two, got {align.bytes}"))
+    for fact in facts:
+        diagnostics.extend(fact.errors)
 
     # Name resolution in top-level bindings and function bodies.
-    for stmt in program.statements:
-        if isinstance(stmt, AssignStmt):
-            for name in sorted(expr_names(stmt.expr) - global_names):
-                diagnostics.append(_error(stmt, f"{name} not found"))
-        elif isinstance(stmt, FuncDef):
-            bound = {p.name for p in stmt.params}
-            for body_stmt in stmt.body:
-                missing = expr_names(body_stmt.expr) - bound - global_names
-                for name in sorted(missing):
-                    diagnostics.append(_error(body_stmt, f"{name} not found"))
-                if isinstance(body_stmt, LocalAssign):
-                    bound.add(body_stmt.name)
+    uses = [use for fact in facts for use in fact.uses]
+    for owner, needed, _ in uses:
+        for name in sorted(needed - global_names):
+            diagnostics.append(_error(owner, f"{name} not found"))
 
     # Call arity.
-    def check_calls(expr: Expr, owner):
-        if isinstance(expr, Call):
-            func = functions.get(expr.func)
-            if func is not None and len(expr.args) != len(func.params):
+    for owner, _, calls in uses:
+        for callee, count in calls:
+            func = functions.get(callee)
+            if func is not None and count != len(func.params):
                 diagnostics.append(_error(
-                    owner,
-                    f"call to {expr.func} has {len(expr.args)} arguments, "
-                    f"expected {len(func.params)}"))
-        for child in _children(expr):
-            check_calls(child, owner)
-
-    for stmt in program.statements:
-        if isinstance(stmt, FuncDef):
-            for body_stmt in stmt.body:
-                check_calls(body_stmt.expr, body_stmt)
-        elif isinstance(stmt, AssignStmt):
-            check_calls(stmt.expr, stmt)
+                    owner, f"call to {callee} has {count} arguments, "
+                           f"expected {len(func.params)}"))
 
     # Recursion is rejected: mapping functions must terminate.
-    calls = {name: called_functions(f) & functions.keys()
+    calls = {name: _facts(f, checks).callees & functions.keys()
              for name, f in functions.items()}
     components = _components(calls)
     recursive = {name for component in components for name in component
@@ -293,10 +327,10 @@ def validate(program: MapperProgram) -> list[Diagnostic]:
         called = set().union(*calls.values())
         too_deep = [functions[name] for name in functions
                     if name not in called and depth[name] > MAX_CALL_DEPTH]
-        too_deep += [stmt for stmt in program.statements
+        too_deep += [stmt for stmt, fact in zip(program.statements, facts)
                      if isinstance(stmt, AssignStmt)
-                     and max((1 + depth[c] for c in _calls_in(stmt.expr)
-                              if c in depth), default=0) > MAX_CALL_DEPTH]
+                     and max((1 + depth[c] for c in fact.callees if c in depth),
+                             default=0) > MAX_CALL_DEPTH]
         for stmt in too_deep:
             diagnostics.append(_error(
                 stmt, f"call chain from {stmt.name} is more than "

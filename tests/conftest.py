@@ -1,7 +1,9 @@
 import pytest
 
+from mapforge.ast import MEM_KINDS
 from mapforge.configs import load_app, load_costs, load_machine
 from mapforge.evaluator import corpus_path
+from mapforge.machine import MachineModel
 
 APP_NAMES = ("stencil", "circuit", "pennant", "cannon", "summa", "pumma",
              "johnson", "solomonik", "cosma")
@@ -20,6 +22,20 @@ def expert_source(name):
 
 def corpus_dsl_files():
     return sorted(corpus_path().rglob("*.dsl"))
+
+
+def default_machine(nodes: int = 2, gpus: int = 4, cpus: int = 4) -> MachineModel:
+    """A small fixed machine for tests."""
+    return MachineModel(
+        name="default",
+        nodes=nodes,
+        proc_counts={"CPU": cpus, "GPU": gpus, "OMP": cpus},
+        mem_capacity={m: 16e9 for m in MEM_KINDS},
+        bandwidth={},
+        latency={"CPU": 1e-6, "GPU": 1e-5, "OMP": 2e-6},
+        compute_rate={"CPU": 1e11, "GPU": 5e12, "OMP": 4e11},
+        concurrency={"CPU": 1, "GPU": 8, "OMP": 1},
+    )
 
 
 @pytest.fixture(scope="session")

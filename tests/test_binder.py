@@ -392,3 +392,14 @@ def f(Task t) { return a[0]; }
     functions, bindings = closure_of(program.functions, program, {"f"})
     assert list(functions) == ["f"]
     assert bindings == program.statements[:3]
+
+
+def test_a_vector_text_binds_m_once(machine):
+    # block2D uses m, which common_mappings.dsl and block3d.dsl both bind;
+    # the merged library keeps one binding, so the text carries one.
+    app = load_app_named("cannon")
+    dims = decision_dimensions(app)
+    choices = [("block2D" if d.dim_id[0] == "imap" else d.options[0]) for d in dims]
+    text = print_program(emit(table_from_choices(app, choices), app))
+    assert text.split("\n").count("m = Machine(GPU);") == 1
+    assert resolve(parse(text), app, machine) == table_from_choices(app, choices)

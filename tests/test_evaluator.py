@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mapforge.ast import ATTRIBUTES, ELEMENTS, METHODS, SPACE_METHODS, no_member
-from mapforge.evaluator import (
-    INT_LIMIT, EvalEnv, EvalError, TaskHandle, build_env, builtin_library,
-    builtin_program, call_function, corpus_path, eval_expr, eval_launch,
-    eval_mapping, idiv, imod,
+from mapforge.ast import (
+    ATTRIBUTES, ELEMENTS, METHODS, SPACE_METHODS, AssignStmt, no_member,
 )
-from mapforge.machine import ProcIndex, default_machine
+from mapforge.evaluator import (
+    INT_LIMIT, EvalEnv, EvalError, TaskHandle, build_env, builtin_program,
+    call_function, corpus_path, eval_expr, eval_launch, eval_mapping, idiv, imod,
+)
+from mapforge.machine import ProcIndex
 from mapforge.parser import parse_valid
 from mapforge.validator import validate
+
+from conftest import default_machine
 
 
 def expr_of(source):
@@ -410,12 +413,21 @@ def test_determinism():
 
 
 def test_builtin_library_names():
-    library = builtin_library()
+    library = builtin_program().functions
     for name in ["block2D", "block1D_x", "block1D_y", "cyclic2D", "cyclic1D_x",
                  "cyclic1D_y", "blockcyclic", "block_primitive",
                  "cyclic_primitive", "linearize_cyclic", "special_linearize3D",
                  "conditional_linearize3D", "block3d"]:
         assert name in library
+
+
+def test_builtins_merge_a_repeated_binding_once():
+    # block3d.dsl binds m as common_mappings.dsl does, so that it loads alone.
+    block3d = parse_valid(corpus_path("builtins", "block3d.dsl").read_text())
+    assert "m" in block3d.bindings
+    bindings = [s for s in builtin_program().statements if isinstance(s, AssignStmt)]
+    assert [b.name for b in bindings] == ["m", "m1", "m2", "m_2d", "m_6d"]
+    assert bindings[0] == block3d.bindings["m"]
 
 
 def test_builtins_are_parsed_once_across_candidates(monkeypatch):
@@ -441,9 +453,9 @@ def test_builtins_are_parsed_once_across_candidates(monkeypatch):
 
 
 def test_builtin_library_is_unchanged_by_callers():
-    library = builtin_library()
+    library = builtin_program().functions
     names = list(library)
     del library["block2D"]
     library["cyclic2D"] = None
-    assert list(builtin_library()) == names
-    assert builtin_library()["cyclic2D"] is builtin_program().functions["cyclic2D"]
+    assert list(builtin_program().functions) == names
+    assert builtin_program().functions["cyclic2D"] is builtin_program().functions["cyclic2D"]

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mapforge.ast import SPACE_METHODS
-from mapforge.machine import (
-    Merge, ProcIndex, ProcessorSpace, SpaceError, default_machine, machine_space,
-)
+from mapforge.machine import Merge, ProcIndex, ProcessorSpace, SpaceError, machine_space
+
+from conftest import default_machine
 
 
 def base(n0, n1, kind="GPU"):

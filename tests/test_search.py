@@ -19,14 +19,15 @@ from mapforge.feedback import (
 )
 from mapforge.search import (
     Candidate, IterationRecord, ObjectiveSpec, Trajectory, aggregate,
-    evaluate_program, exhaustive, external_strategy, hill_climb, random_agent,
-    run, write_csv,
+    compile_program, evaluate_program, exhaustive, external_strategy, hill_climb,
+    random_agent, run, write_csv,
 )
 from mapforge.printer import print_program
 from mapforge.simulator import simulate
 
 from conftest import APP_NAMES, corpus_dsl_files, expert_source, load_app_named
-from mapforge.parser import parse, parse_valid
+from mapforge.ast import Diagnostic
+from mapforge.parser import CompileMemo, parse, parse_valid
 from mapforge.binder import resolve
 from mapforge.validator import MAX_CALL_DEPTH
 
@@ -569,6 +570,124 @@ def test_evaluation_is_total_on_edited_corpus(path, edits, machine, costs):
     result, report = evaluate_program(text, app_for(path), machine, costs)
     assert time.perf_counter() - begin < 5.0
     assert isinstance(report, FeedbackReport)
+
+
+# -- one compile per distinct statement ------------------------------------------
+
+# Whole lines an edit may insert: each breaks a check of the parser or the
+# validator, or puts two statements, a comment or half a statement on a line.
+EDIT_LINES = (
+    "Task * GPU,GPU;", "Region * * * FBMEM,FBMEM;", "Layout * * * SOA AOS Align==3;",
+    "InstanceLimit t 0;", "Task * GPU; Region * * * FBMEM;", "m = Machine(GPU); # m",
+    "def f(Task t) { return f(t); }", "def g(Task t) { return block2D(t); }",
+    "x = g(1, 2);", "def h(Task t) {", "return m[0, 0]; }", "IndexTaskMap a h;",
+    "y = (1, 2)[0][1];", "z = m.split(0);", "Region * * *", "", "# note")
+
+
+def edited(text, kind, at, other, piece):
+    """``text`` with one edit: a character-level one as in the totality
+    test above, or an inserted, copied or dropped line."""
+    lines = text.split("\n")
+    if kind == "char":
+        start = at % (len(text) + 1)
+        return text[:start] + (piece or "") + text[start + other % 3:]
+    if kind == "line":
+        lines.insert(at % (len(lines) + 1), EDIT_LINES[other % len(EDIT_LINES)])
+    elif kind == "copy":
+        lines.insert(at % (len(lines) + 1), lines[other % len(lines)])
+    else:
+        del lines[at % len(lines)]
+    return "\n".join(lines)
+
+
+def assert_memo_compiles_afresh(texts):
+    memo = CompileMemo()
+    for text in texts:
+        assert repr(compile_program(text, memo)) == repr(compile_program(text))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(corpus_dsl_files()), st.booleans(),
+    st.lists(st.tuples(st.sampled_from(("char", "line", "copy", "drop")),
+                       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                       st.sampled_from(EDIT_PIECES)), max_size=3)),
+    min_size=1, max_size=8))
+def test_a_shared_compile_memo_compiles_as_a_fresh_one(steps):
+    # Each text is the last one edited further, or a corpus file edited
+    # afresh: the memo sees texts that share most of their lines.  The
+    # program's repr holds every position, a diagnostic its line, column
+    # and message.
+    texts, text = [], None
+    for path, restart, edits in steps:
+        if restart or text is None:
+            text = path.read_text()
+        for edit in edits:
+            text = edited(text, *edit)
+        texts.append(text)
+    assert_memo_compiles_afresh(texts)
+
+
+@pytest.mark.parametrize("texts", [
+    ["x = 1;\ny = 2;\n", "x = 1;\ny = 2 \u00e9;\n"],
+    ["Task * GPU;\nRegion * * * FBMEM;\nx = 1;\n", "Task * GPU;\nRegion * * FBMEM;\nx = $;\n"],
+    ["def f(Task t) {\n  x = 1;\n  return m[0, 0];\n}\n",
+     "def f(Task t) {\n  x = 2;\n  return m[0, 0];\n}\n",
+     "def f(Task t) {\n  x = 1;\n  return m[0, 0];\n\n}\n"],
+    ["Task * GPU; Region * * * FBMEM;\n", "Task * GPU; Region * * * ZCMEM;\n",
+     "Task * GPU;\n"],
+    ["Task * GPU; # gpu\n", "Task * GPU;\n", "Task * GPU; # cpu\n"],
+    ["Task * GPU;\nRegion * * * FBMEM;", "Task * GPU;\nRegion * * *", "Task * GPU;\nRegion"],
+    ["def f(Task t) { return m[0, 0]; }\nx = 1;", "def f(Task t) {\n return m[0, 0]; }"],
+    ["a = 1;\nb = 2;\n", "def f(Task t) {\nb = 2;\nreturn m[0, 0]; }\n"],
+    ["m = Machine(GPU);\ndef f(Task t) { return m[0, 0]; }\nIndexTaskMap a f;",
+     "k = Machine(GPU);\ndef f(Task t) { return m[0, 0]; }\nIndexTaskMap a f;"],
+    ["def g(int a) { return a; }\nx = g(1);", "def g(int a, int b) { return a; }\nx = g(1);"],
+    ["def f(Task t) { return g(t); }\ndef g(Task t) { return m[0, 0]; }",
+     "def f(Task t) { return g(t); }\ndef g(Task t) { return f(t); }",
+     "def f(Task t) { return g(t); }\ndef g(Task t) { return h(t); }\n"
+     "def h(Task t) { return m[0, 0]; }"],
+], ids=["bad_character_on_a_kept_line", "bad_character_after_a_syntax_error",
+        "function_with_a_changed_line", "two_statements_on_one_line", "trailing_comment",
+        "text_ending_mid_statement", "statement_spread_over_more_lines",
+        "statement_running_into_a_kept_line",
+        "kept_function_loses_its_binding", "kept_call_changes_arity",
+        "kept_function_becomes_recursive_or_deep"])
+def test_a_shared_compile_memo_compiles_targeted_texts_afresh(texts):
+    assert_memo_compiles_afresh(texts)
+
+
+def test_a_bad_character_is_reported_on_its_own_line():
+    memo = CompileMemo()
+    compile_program("x = 1;\ny = 2;\n", memo)
+    assert compile_program("x = 1;\ny = 2 $;\n", memo) == [Diagnostic(
+        "error", 2, 7, "Syntax error, unexpected character '$'")]
+
+
+def test_a_run_parses_each_kept_statement_once(monkeypatch, machine, costs):
+    from mapforge import parser
+    from mapforge.evaluator import builtin_program
+
+    app = load_app_named("cannon")
+    builtin_program()  # parsed before the run
+    parsed = collections.Counter()
+    statement = parser._Parser._statement
+
+    def counting(self):
+        start = self.pos
+        stmt = statement(self)
+        parsed[tuple(self.tokens[start:self.pos])] += 1  # positions included
+        return stmt
+
+    monkeypatch.setattr(parser._Parser, "_statement", counting)
+    trajectory = run(app, machine, costs, "hillclimb", ObjectiveSpec(budget=60), seed=5)
+    lines = sum(len(text.split("\n")) for text in
+                {r.candidate.program_text for r in trajectory.records})
+    # A printed text holds each statement on lines of its own, so the run
+    # parses each (statement text, position) once: here 56 statements
+    # for 420 lines of distinct texts.
+    assert max(parsed.values()) == 1
+    assert 0 < sum(parsed.values()) < lines / 3
 
 
 # -- huge integers --------------------------------------------------------------

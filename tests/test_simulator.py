@@ -16,7 +16,7 @@ from mapforge.configs import (
 )
 from mapforge.evaluator import corpus_path
 from mapforge.machine import MachineModel
-from mapforge.parser import parse_valid
+from mapforge.parser import CompileMemo, parse, parse_valid
 from mapforge.printer import print_program
 from mapforge.simulator import (
     LayoutMismatch, MappingError, OutOfMemory, SimMemo, SimResult,
@@ -593,18 +593,20 @@ def text_table(text, app, machine):
 def test_a_shared_memo_gives_what_no_memo_gives(machine, single_node_machine, costs,
                                                 name, single_node, data):
     # A run's texts differ from one another in a few decisions, so each
-    # step changes one dimension of the last vector, and every text is
-    # parsed afresh as in a run.
+    # step changes one dimension of the last vector.  Every text is parsed
+    # through one compile memo, as in a run, so that texts share statement
+    # objects, or afresh, so that equal statements are distinct objects.
     app = load_app_named(name)
     machine = single_node_machine if single_node else machine
     dims = decision_dimensions(app)
     choices = [data.draw(st.sampled_from(dim.options)) for dim in dims]
     memo = SimMemo()
+    compile_memo = CompileMemo() if data.draw(st.booleans()) else None
     for _ in range(data.draw(st.integers(1, 12))):
         k = data.draw(st.integers(0, len(dims) - 1))
         choices[k] = data.draw(st.sampled_from(dims[k].options))
         text = print_program(emit(table_from_choices(app, choices, dims), app))
-        table = resolve(parse_valid(text), app, machine)
+        table = resolve(parse(text, compile_memo), app, machine)
         if not isinstance(table, list):
             simulate_shared(app, table, machine, costs, memo)
 
@@ -649,3 +651,18 @@ def test_functions_with_one_name_and_different_bodies_are_told_apart(machine, co
                                        machine, costs, memo))
     assert results[0] != results[1] and results[0] == results[2]
     assert len(memo.tasks) == 2
+
+
+def test_closures_of_distinct_statements_are_never_confused(machine, costs):
+    # Each text is parsed afresh and its table dropped after the call, so
+    # only the memo keeps its statements alive and their ids unused: four
+    # texts give four identities, and two closures by comparing them.
+    app = one_task_app((8,), "GPU")
+    memo = SimMemo()
+    for node in (0, 1, 0, 1):
+        text = (HEAD.format(kind="GPU") + f"def f(Task t) {{ return m[{node}, "
+                "t.ipoint[0] % 4]; }\nIndexTaskMap work f;\n")
+        result = simulate_shared(app, text_table(text, app, machine), machine,
+                                 costs, memo)
+        assert [key[0] for key in result.peak_memory] == [node]
+    assert len(memo.identities) == 4 and len(memo.closures) == 2
