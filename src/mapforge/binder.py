@@ -15,9 +15,10 @@ SingleTaskMap and InstanceLimit the last statement naming the task
 wins.  Statements naming tasks or regions the application does not have
 are inert.  docs/file_formats.md states the rule for mapper authors.
 
-A table can also be flattened into a decision vector over enumerable
-dimensions (the search coordinate system) and re-rendered into a DSL
-program with ``emit``; ``resolve(emit(table))`` reproduces the table.
+A table can also be built from one chosen option per enumerable
+decision dimension (the search coordinate system) with
+``table_from_choices``, and re-rendered into a DSL program with
+``emit``; ``resolve(emit(table))`` reproduces the table.
 """
 
 from __future__ import annotations
@@ -274,26 +275,6 @@ def search_space_size(app: ApplicationDescriptor) -> int:
     """Exact number of decision tables expressible over the declared
     dimensions."""
     return math.prod(len(d.options) for d in decision_dimensions(app))
-
-
-def decision_vector(table: MappingDecisionTable,
-                    app: ApplicationDescriptor) -> list[tuple[tuple, object, tuple]]:
-    """Flatten a table into (dimension id, chosen option, option domain)
-    entries.  The chosen option may fall outside the declared domain when
-    the table came from a hand-written mapper."""
-    vector = []
-    for dim in decision_dimensions(app):
-        kind = dim.dim_id[0]
-        if kind == "proc":
-            chosen = table.task_proc[dim.dim_id[1]]
-        elif kind == "mem":
-            chosen = table.region_mem[(dim.dim_id[1], dim.dim_id[2])]
-        elif kind == "layout":
-            chosen = table.region_layout[(dim.dim_id[1], dim.dim_id[2])]
-        else:  # imap
-            chosen = table.index_map.get(dim.dim_id[1])
-        vector.append((dim.dim_id, chosen, dim.options))
-    return vector
 
 
 # The built-in library, its functions by name and its closures by set of

@@ -171,12 +171,12 @@ def _as_name(value, path: str) -> str:
     return name
 
 
-def _as_number(value, path: str, positive: bool = True) -> float:
+def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _SchemaError(path, "expected a number")
     if isinstance(value, float) and not math.isfinite(value):
         raise _SchemaError(path, "expected a finite number")
-    if positive and value <= 0:
+    if value <= 0:
         raise _SchemaError(path, "must be positive")
     try:
         return float(value)
@@ -388,8 +388,11 @@ def load_app(path: Union[str, Path]) -> ApplicationDescriptor | list[Diagnostic]
                 raise _SchemaError(f"regions[{i}].name",
                                    f"duplicate region {region.name}")
             regions[region.name] = region
+        task_list = _as_list(_require(data, "tasks", ""), "tasks")
+        if not task_list:
+            raise _SchemaError("tasks", "must list at least one task")
         tasks = {}
-        for i, tdata in enumerate(_as_list(_require(data, "tasks", ""), "tasks")):
+        for i, tdata in enumerate(task_list):
             task = _parse_task(tdata, f"tasks[{i}]", regions)
             if task.name in tasks:
                 raise _SchemaError(f"tasks[{i}].name", f"duplicate task {task.name}")

@@ -76,17 +76,8 @@ class ProcIndex:
 # --------------------------------------------------------------------------
 
 
-class _Step:
-    __slots__ = ()
-
-    def to_parent_array(self, a: np.ndarray) -> np.ndarray:
-        """Map an (N, rank) index array of the transformed space to the
-        (N, parent rank) array of its parent."""
-        return np.stack(self.to_parent_columns(list(a.T)), axis=1)
-
-
 @dataclass(unsafe_hash=True, slots=True)
-class Split(_Step):
+class Split:
     dim: int
     factor: int
 
@@ -96,7 +87,7 @@ class Split(_Step):
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class Merge(_Step):
+class Merge:
     p: int
     q: int
     inner: int  # extent of dimension p in the parent space
@@ -110,7 +101,7 @@ class Merge(_Step):
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class Swap(_Step):
+class Swap:
     p: int
     q: int
 
@@ -121,7 +112,7 @@ class Swap(_Step):
 
 
 @dataclass(unsafe_hash=True, slots=True)
-class Slice(_Step):
+class Slice:
     dim: int
     low: int
     high: int

@@ -22,7 +22,7 @@ optimizer behind the adapter wire protocol).  All built-ins are
 deterministic given (history, seed).
 
 A run evaluates each distinct program text once; a repeated text reuses
-the result and system feedback of its first evaluation.  Likewise a run
+the system feedback and score of its first evaluation.  Likewise a run
 turns each distinct choices vector into text once: a repeated vector
 reuses its printed text, or the compile error its table raised.  A new
 text reuses, through one ``simulator.SimMemo`` per run, each task's
@@ -298,23 +298,21 @@ def run(app: ApplicationDescriptor, machine: MachineModel, costs: CostParams,
     # the compiler's and the simulator's work for the parts it shares
     # with earlier ones.
     printed: dict[tuple, Union[str, FeedbackReport]] = {}
-    evaluated: dict[str, tuple[Optional[SimResult], FeedbackReport]] = {}
+    evaluated: dict[str, FeedbackReport] = {}
     memo = SimMemo()
     compile_memo = CompileMemo()
 
     for iteration in range(objective.budget):
         candidate, failure = _propose(strategy_fn, trajectory.records, dims,
                                       seed, app, printed)
-        if failure is not None:
-            report = failure
-            score = None
-        else:
+        report = failure
+        if report is None:
             text = candidate.program_text
             if text not in evaluated:
                 evaluated[text] = evaluate_program(text, app, machine, costs,
-                                                   memo, compile_memo)
-            result, report = evaluated[text]
-            score = result.throughput if result is not None else None
+                                                   memo, compile_memo)[1]
+            report = evaluated[text]
+        score = report.score
         report = enhance(report, rules, feedback_level)
         if score is not None and (best_score is None or score > best_score):
             best_score = score

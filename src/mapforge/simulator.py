@@ -30,13 +30,14 @@ loop over the points and pairs, so results are the same to the bit.
 A search run passes a :class:`SimMemo`, because its candidates share
 most decisions.  A task's points depend only on its processor kind, its
 mapping function and the closure that function runs in (the table's
-bindings and functions), and the link totals only on the exchanging
-tasks' points and their regions' memories per node.  So a run maps each
-task once per distinct such input, and charges the exchanges once per
-distinct sequence of them.  A miss computes from zero, and a hit returns what
-that miss computed, kept read-only, so a call gives the same result and
-error text to the bit with a fresh memo (what a call without one uses)
-as with a shared one.
+bindings and functions, compared as syntax trees, so a text parsed
+afresh finds the closure of an equal earlier one), and the link totals
+only on the exchanging tasks' points and their regions' memories per
+node.  So a run maps each task once per distinct such input, and
+charges the exchanges once per distinct sequence of them.  A miss
+computes from zero, and a hit returns what that miss computed, kept
+read-only, so a call gives the same result and error text to the bit
+with a fresh memo (what a call without one uses) as with a shared one.
 
 The model is not event-driven and knows nothing about network topology
 or load imbalance over time; it exists to rank mappers deterministically.
@@ -124,38 +125,28 @@ class SimMemo:
     """What ``simulate`` reuses within one run, for one app on one machine.
 
     ``closures`` maps a table's closure, its bindings and functions
-    compared as ASTs, to (closure id, its environment or MappingError).
-    ``identities`` maps the ids of a closure's statements to (that
-    entry, the statements): a run's compile memo gives texts the same
-    statement objects, so most tables are found by identity without
-    hashing their ASTs.  The entry holds the statements, so no other
-    object takes their ids while the memo lives.  Equal but distinct
-    statements miss there and are then found by comparing them; no key
-    gives another closure's entry.  ``tasks`` maps
-    (task, processor kind, function name, closure id or None without a
-    function) to the task's (N, 2) processor rows or its MappingError.
+    compared as ASTs, so that equal statements from separate parses share
+    one entry, to (closure id, its environment or MappingError).
+    ``tasks`` maps (task, processor kind, function name, closure id or
+    None without a function) to the task's (N, 2) processor rows or its
+    MappingError.
     ``links`` maps the exchange inputs, each exchange's task key and
     per-node memories in rule order, to the read-only link totals.
     Nothing is evicted: the memo grows with the distinct keys, by an
     (N, 2) array per task key, so it is kept for one run only.
     """
     closures: dict = field(default_factory=dict)
-    identities: dict = field(default_factory=dict)
     tasks: dict = field(default_factory=dict)
     links: dict = field(default_factory=dict)
 
     def closure(self, table: MappingDecisionTable, machine: MachineModel,
                 ) -> tuple[int, EvalEnv | MappingError]:
         statements = table.bindings + tuple(table.functions.values())
-        key = tuple(map(id, statements))
-        found = self.identities.get(key)
-        if found is None:
-            entry = self.closures.get(statements)
-            if entry is None:
-                entry = self.closures[statements] = (len(self.closures),
-                                                     _env(table, machine))
-            found = self.identities[key] = (entry, statements)
-        return found[0]
+        entry = self.closures.get(statements)
+        if entry is None:
+            entry = self.closures[statements] = (len(self.closures),
+                                                 _env(table, machine))
+        return entry
 
 
 # --------------------------------------------------------------------------
@@ -177,8 +168,8 @@ def _layout_penalty(table: MappingDecisionTable, task: TaskSpec, proc: str,
     return penalty
 
 
-def _memory_penalty(table: MappingDecisionTable, placement, task: TaskSpec,
-                    proc: str, params: CostParams) -> float:
+def _memory_penalty(placement, task: TaskSpec, proc: str,
+                    params: CostParams) -> float:
     if proc != "GPU":
         return 1.0
     penalty = 1.0
@@ -298,12 +289,12 @@ def assign_points(app: ApplicationDescriptor, table: MappingDecisionTable,
 
 def _place_regions(app: ApplicationDescriptor, table: MappingDecisionTable,
                    machine: MachineModel, assignment,
-                   ) -> Union[tuple[dict, dict, dict], OutOfMemory]:
+                   ) -> Union[tuple[dict, dict], OutOfMemory]:
     """First-fit placement of each (task, region argument) per node.
 
-    Returns (placement, peak, node_share): placement maps
-    (task, region) -> {node: mem}, peak maps (node, mem) -> bytes, and
-    node_share maps (task, region, node) -> bytes placed there.
+    Returns (placement, peak): placement maps (task, region) ->
+    {node: mem}, and peak maps (node, mem) -> the most bytes placed there
+    at once.
     """
     usage: dict[tuple[int, str], float] = {}
     peak: dict[tuple[int, str], float] = {}
@@ -344,7 +335,7 @@ def _place_regions(app: ApplicationDescriptor, table: MappingDecisionTable,
             if (task.name, arg.region) in table.collect:
                 for node, mem in placement[(task.name, arg.region)].items():
                     usage[(node, mem)] -= node_share[(task.name, arg.region, node)]
-    return placement, peak, node_share
+    return placement, peak
 
 
 # --------------------------------------------------------------------------
@@ -367,7 +358,7 @@ def simulate(app: ApplicationDescriptor, table: MappingDecisionTable,
     placed = _place_regions(app, table, machine, assignment)
     if isinstance(placed, OutOfMemory):
         return placed
-    placement, peak, _ = placed
+    placement, peak = placed
 
     # Layout requirements of the chosen variants.
     for task in app.tasks:
@@ -388,7 +379,7 @@ def simulate(app: ApplicationDescriptor, table: MappingDecisionTable,
     for task in app.tasks:
         kind = table.task_proc[task.name]
         lay_pen = _layout_penalty(table, task, kind, params)
-        mem_pen = _memory_penalty(table, placement, task, kind, params)
+        mem_pen = _memory_penalty(placement, task, kind, params)
         point_time = task.flops_per_point / machine.compute_rate[kind] * lay_pen * mem_pen
         width = machine.concurrency.get(kind, 1)
         limit = table.instance_limit.get(task.name)

@@ -136,8 +136,8 @@ def _library_gather(space, child_space):
     key = (space.dims, step)
     g = _lib_memo.get(key)
     if g is None:
-        parent_idx = step.to_parent_array(_all_idx(child_space.dims))
-        g = np.ravel_multi_index(tuple(parent_idx.T), space.dims)
+        parent_cols = step.to_parent_columns(list(_all_idx(child_space.dims).T))
+        g = np.ravel_multi_index(tuple(parent_cols), space.dims)
         _lib_memo[key] = g
     return g
 

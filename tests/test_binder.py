@@ -5,7 +5,7 @@ import pytest
 
 from mapforge.ast import MapperProgram, RegionStmt, TaskStmt
 from mapforge.binder import (
-    LayoutChoice, closure_of, decision_dimensions, decision_vector, emit, resolve,
+    LayoutChoice, closure_of, decision_dimensions, emit, resolve,
     search_space_size, table_from_choices,
 )
 from mapforge.configs import (
@@ -178,6 +178,24 @@ def test_map_options_add_a_dimension(cannon_app):
     assert search_space_size(cannon_app) == 2 * 2 ** 3 * 4 ** 3 * 7
 
 
+def table_choices(table, app):
+    """The option ``table`` holds in each decision dimension of ``app``,
+    which may fall outside the declared options for a hand-written
+    mapper."""
+    choices = []
+    for dim in decision_dimensions(app):
+        kind, key = dim.dim_id[0], dim.dim_id[1:]
+        if kind == "proc":
+            choices.append(table.task_proc[key[0]])
+        elif kind == "mem":
+            choices.append(table.region_mem[key])
+        elif kind == "layout":
+            choices.append(table.region_layout[key])
+        else:  # imap
+            choices.append(table.index_map.get(key[0]))
+    return choices
+
+
 def test_vector_round_trip_on_corpus_tables(machine, circuit_app):
     # Circuit declares no index-map candidates, so its vectors cover
     # processor, memory, and layout dimensions.
@@ -185,9 +203,7 @@ def test_vector_round_trip_on_corpus_tables(machine, circuit_app):
         source = corpus_path("strategies", f"{strategy:02d}.dsl").read_text()
         program = parse_valid(source)
         table = resolve(program, circuit_app, machine)
-        vector = decision_vector(table, circuit_app)
-        rebuilt = table_from_choices(
-            circuit_app, [chosen for (_, chosen, _) in vector])
+        rebuilt = table_from_choices(circuit_app, table_choices(table, circuit_app))
         assert rebuilt.task_proc == table.task_proc
         assert rebuilt.region_mem == table.region_mem
         assert rebuilt.region_layout == table.region_layout
@@ -200,8 +216,7 @@ def test_vector_round_trip_covers_index_maps(machine):
     choices = [d.options[-1] for d in decision_dimensions(app)]
     program = emit(table_from_choices(app, choices), app)
     table = resolve_text(print_program(program), app, machine)
-    vector = decision_vector(table, app)
-    rebuilt = table_from_choices(app, [chosen for (_, chosen, _) in vector])
+    rebuilt = table_from_choices(app, table_choices(table, app))
     assert rebuilt.index_map == table.index_map == {
         "task_1": "special_linearize3D", "task_2": "cyclic2D"}
     assert rebuilt.functions == table.functions

@@ -381,6 +381,20 @@ def test_optimize_baseline_failures_are_user_errors(
     assert not out_csv.exists()
 
 
+def test_optimize_on_an_app_without_tasks_is_a_user_error(capsys, tmp_path):
+    app = tmp_path / "empty.app"
+    app.write_text("name: empty\ntasks: []\n")
+    out_csv = tmp_path / "e.csv"
+    code, out, err = run_cli(
+        capsys, "optimize", "--app", str(app), "--machine", MACHINE,
+        "--strategy", "hillclimb", "--iters", "3", "--seeds", "1",
+        "--out", str(out_csv))
+    assert code == 1
+    assert err == (f"error: invalid application {app}: "
+                   "tasks: must list at least one task\n")
+    assert not out_csv.exists()
+
+
 def test_optimize_unknown_strategy(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "optimize", "--app", TOY, "--machine", MACHINE,

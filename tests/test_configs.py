@@ -121,6 +121,7 @@ def _append_copy(key):
      "exchanges[0].task: unknown task nope"),
     (load_app, APP, _append_copy("regions"), "regions[6].name: duplicate region grid_a"),
     (load_app, APP, _append_copy("tasks"), "tasks[2].name: duplicate task apply_stencil"),
+    (load_app, APP, _set("tasks", value=[]), "tasks: must list at least one task"),
     (load_machine, MACHINE, _set("procs", value=5),
      "procs: expected a mapping of processor kinds"),
     (load_machine, MACHINE, _set("procs", "GPU", "count", value=-1),
@@ -131,7 +132,7 @@ def _append_copy(key):
      "exchanges[0].axis: axis 7 out of range for rank 3"),
 ], ids=["metric", "proc_kind", "empty_domain", "no_proc_options", "no_variant",
         "unknown_region", "unknown_exchange_task", "duplicate_region",
-        "duplicate_task", "procs_not_a_mapping", "negative_count",
+        "duplicate_task", "no_tasks", "procs_not_a_mapping", "negative_count",
         "memories_not_a_mapping", "exchange_axis"])
 def test_descriptor_errors(tmp_path, loader, base, edit, message):
     result = load_edited(loader, base, tmp_path / "x.yaml", edit)

@@ -69,7 +69,7 @@ def test_merge_dims_and_step_rule():
     # in the pre-merge space.
     step = m.chain[-1]
     assert isinstance(step, Merge)
-    assert step.to_parent_array(np.array([[5, 3]])).tolist() == [[1, 2, 3]]
+    assert step.to_parent_columns([5, 3]) == [1, 2, 3]
 
 
 def test_merge_requires_ordered_dims():

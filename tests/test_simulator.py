@@ -7,14 +7,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from mapforge import search
+from mapforge import search, simulator
 from mapforge.binder import decision_dimensions, emit, resolve, table_from_choices
 from mapforge.cli import EXIT_EXEC, main
 from mapforge.configs import (
     ApplicationDescriptor, CostParams, RegionSpec, TaskArg, TaskSpec,
     VariantSpec, load_app, load_costs, load_machine,
 )
-from mapforge.evaluator import corpus_path
+from mapforge.evaluator import corpus_path, eval_launch
 from mapforge.machine import MachineModel
 from mapforge.parser import CompileMemo, parse, parse_valid
 from mapforge.printer import print_program
@@ -654,9 +654,8 @@ def test_functions_with_one_name_and_different_bodies_are_told_apart(machine, co
 
 
 def test_closures_of_distinct_statements_are_never_confused(machine, costs):
-    # Each text is parsed afresh and its table dropped after the call, so
-    # only the memo keeps its statements alive and their ids unused: four
-    # texts give four identities, and two closures by comparing them.
+    # Each text is parsed afresh and its table dropped after the call:
+    # four texts give two closures by comparing them.
     app = one_task_app((8,), "GPU")
     memo = SimMemo()
     for node in (0, 1, 0, 1):
@@ -665,4 +664,30 @@ def test_closures_of_distinct_statements_are_never_confused(machine, costs):
         result = simulate_shared(app, text_table(text, app, machine), machine,
                                  costs, memo)
         assert [key[0] for key in result.peak_memory] == [node]
-    assert len(memo.identities) == 4 and len(memo.closures) == 2
+    assert len(memo.closures) == 2
+
+
+def test_an_equal_closure_on_other_lines_is_found_by_value(machine, costs,
+                                                           monkeypatch):
+    # The second text has its def one line lower, so a run's compile memo
+    # parses it into new statement objects; the closure is still found.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return eval_launch(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "eval_launch", counted)
+    app = one_task_app((8,), "GPU")
+    function = "def f(Task t) { return m[1, t.ipoint[0] % 4]; }\nIndexTaskMap work f;\n"
+    memo = SimMemo()
+    compile_memo = CompileMemo()
+    tables, results = [], []
+    for gap in ("", "\n"):
+        text = HEAD.format(kind="GPU") + gap + function
+        tables.append(resolve(parse(text, compile_memo), app, machine))
+        results.append(simulate(app, tables[-1], machine, costs, memo))
+    assert tables[0].functions["f"] is not tables[1].functions["f"]
+    assert isinstance(results[0], SimResult) and results[0] == results[1]
+    assert len(memo.closures) == 1 and len(memo.tasks) == 1
+    assert calls == ["work"]
